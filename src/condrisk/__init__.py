@@ -7,7 +7,6 @@ population-level comparison sweep, and a dataset analysis pipeline, all
 behind one CLI (`condrisk`).
 """
 
-from ._backend import backend_name
 from ._version import __version__
 from .binomial import binom_log_pmf
 from .compare import CompareRecord, compare_grid, compare_point, write_compare_csv
@@ -74,7 +73,6 @@ from .model import (
 
 __all__ = [
     "__version__",
-    "backend_name",
     "binom_log_pmf",
     "CompareRecord", "compare_grid", "compare_point", "write_compare_csv",
     "CoverageResult", "GridRecord", "GridSpec", "Scenario",

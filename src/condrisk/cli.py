@@ -14,7 +14,6 @@ from dataclasses import replace
 from . import compare as compare_mod
 from . import coverage as coverage_mod
 from . import ingest, mc
-from ._backend import backend_name
 from ._version import __version__
 from .errors import DegenerateTableError, DomainError, ParseError
 
@@ -171,7 +170,7 @@ def _cmd_coverage(args) -> int:
         flagged = sum(1 for r in records if r.result is None)
         note = f" ({flagged} flagged inadmissible)" if flagged else ""
         sys.stdout.write(
-            f"wrote {len(records)} rows to {args.out}{note} [{backend_name()} kernel]\n"
+            f"wrote {len(records)} rows to {args.out}{note} [numpy kernel]\n"
         )
     return EXIT_OK
 

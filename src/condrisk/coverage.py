@@ -2,10 +2,11 @@
 
 For a scenario with fixed stratum margins, the two outcome counts are
 independent binomials.  The engine enumerates every count pair whose
-stratum table has all entries positive, rebuilds the log-scale Wald
-interval for each pair, and sums the joint probability of the pairs
-whose interval covers the population ratio.  Tail pruning with a
-certified bound keeps large margins tractable; prune 0 is exhaustive.
+stratum table has all entries positive, builds the log-scale Wald
+interval of each pair with measures.log_wald_bounds, and sums the joint
+probability of the pairs whose interval covers the population ratio.
+Tail pruning with a certified bound keeps large margins tractable;
+prune 0 is exhaustive.
 """
 
 import itertools
@@ -72,7 +73,7 @@ class Scenario:
     def __post_init__(self):
         for name in ("n_e", "n_ne"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise DomainError(f"{name} must be a positive integer, got {v!r}")
         if self.stratum not in (0, 1):
             raise DomainError(f"stratum must be 0 or 1, got {self.stratum!r}")
@@ -128,9 +129,10 @@ def exact_coverage(scenario: Scenario, prune_epsilon: float = DEFAULT_PRUNE) -> 
     """Exact CI coverage for one scenario by full table enumeration.
 
     Enumerates outcome-count pairs (a, c) with 0 < a < n_e, 0 < c < n_ne
-    inside the pruned windows, in fixed ascending order with compensated
-    accumulation, so the result is reproducible to the last bit and
-    independent of any parallel scheduling above it.
+    inside the pruned windows with the kernel in _backend, whose sums are
+    reproducible to the last bit and independent of any parallel
+    scheduling above it.  The degenerate mass comes from the four atoms
+    (a or c at 0 or at its margin), so it is never negative.
     """
     _check_prune(prune_epsilon)
     p_e, p_ne, true_rr = true_conditional_risks(scenario)
@@ -150,11 +152,14 @@ def exact_coverage(scenario: Scenario, prune_epsilon: float = DEFAULT_PRUNE) -> 
             scenario.n_e, scenario.n_ne, z, true_rr,
         )
         window = neumaier_sum(pa, a_lo, a_hi + 1) * neumaier_sum(pc, c_lo, c_hi + 1)
+    # P(a degenerate or c degenerate), by inclusion-exclusion over the atoms
+    atoms_a = float(pa[0]) + float(pa[-1])
+    atoms_c = float(pc[0]) + float(pc[-1])
     return CoverageResult(
         true_rr=true_rr,
         p_c=cover,
         noncover_mass=noncover,
-        degenerate_mass=1.0 - nondegen_a * nondegen_c,
+        degenerate_mass=atoms_a + atoms_c - atoms_a * atoms_c,
         truncation_bound=max(0.0, nondegen_a * nondegen_c - window),
     )
 

@@ -48,11 +48,11 @@ class CohortSpec:
     def __post_init__(self):
         for name in ("n_e", "n_ne"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise DomainError(f"{name} must be a positive integer, got {v!r}")
-        if not isinstance(self.reps, int) or self.reps < 1:
+        if not isinstance(self.reps, int) or isinstance(self.reps, bool) or self.reps < 1:
             raise DomainError(f"reps must be a positive integer, got {self.reps!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 

@@ -5,7 +5,8 @@ at time j: one over subjects whose outcome at the earlier time k was 1,
 one over those with 0.  The crude risk ratio ignores the stratification;
 the conditional ratios are the time-j risk ratios within each stratum.
 All confidence intervals are the usual log-scale normal-approximation
-intervals, symmetric on the log scale by construction.
+(log-Wald) intervals, symmetric on the log scale by construction, and
+all of them come from log_wald_bounds.
 """
 
 import math
@@ -37,7 +38,7 @@ class StratumTable:
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise DegenerateTableError(f"count {name} must be a nonnegative integer, got {v!r}")
 
     @property
@@ -88,57 +89,49 @@ def z_quantile(level: float) -> float:
     return NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
-def stratum_rr_estimate(a: int, n_e: int, c: int, n_ne: int, level: float = 0.95) -> RiskRatioEstimate:
-    """Risk ratio (a/n_e) / (c/n_ne) with the log-scale Wald CI.
+def log_wald_bounds(a, n_e, c, n_ne, z, xp=math):
+    """Log-Wald (Katz) interval of the risk ratio (a/n_e) / (c/n_ne).
 
-    This is the shared arithmetic behind rr1_estimate and rr0_estimate;
-    the exact coverage engine replicates this expression tree, so keep
-    the order of operations stable.
+    Returns (point, log_se, lower, upper), where lower and upper are
+    point * exp(-+ z * log_se) (Katz et al., Biometrics 34 (1978) 469-474).
+    The elementary functions come from xp: with math the arguments are
+    scalars and the results Python floats; with numpy the counts may be
+    arrays and everything broadcasts.  This is the only place the interval
+    is written out: the estimators and the exact coverage kernel all call
+    it, so an estimate and the coverage enumeration cannot disagree on
+    what the interval is.
     """
+    risk_e = a / n_e
+    risk_ne = c / n_ne
+    point = risk_e / risk_ne
+    log_se = xp.sqrt((1.0 - risk_e) / (n_e * risk_e) + (1.0 - risk_ne) / (n_ne * risk_ne))
+    half = z * log_se
+    return point, log_se, point * xp.exp(-half), point * xp.exp(half)
+
+
+def _estimate(a: int, n_e: int, c: int, n_ne: int, level: float, what: str) -> RiskRatioEstimate:
     if n_e < 1 or n_ne < 1:
-        raise DegenerateTableError("empty exposure row in stratum table")
+        raise DegenerateTableError(f"empty exposure row in {what} table")
     if a < 1 or c < 1:
         raise DegenerateTableError(
             f"zero outcome count (a={a}, c={c}): estimate or its log undefined"
         )
-    z = z_quantile(level)
-    risk_e = a / n_e
-    risk_ne = c / n_ne
-    point = risk_e / risk_ne
-    var = (1.0 - risk_e) / (n_e * risk_e) + (1.0 - risk_ne) / (n_ne * risk_ne)
-    log_se = math.sqrt(var)
-    half = z * log_se
-    return RiskRatioEstimate(
-        point=point,
-        log_se=log_se,
-        ci_lower=point * math.exp(-half),
-        ci_upper=point * math.exp(half),
-        level=level,
-    )
+    point, log_se, lower, upper = log_wald_bounds(a, n_e, c, n_ne, z_quantile(level))
+    return RiskRatioEstimate(point, log_se, lower, upper, level)
+
+
+def stratum_rr_estimate(a: int, n_e: int, c: int, n_ne: int, level: float = 0.95) -> RiskRatioEstimate:
+    """Risk ratio (a/n_e) / (c/n_ne) with the log-scale Wald CI.
+
+    This is the shared arithmetic behind rr1_estimate and rr0_estimate;
+    the interval itself is log_wald_bounds.
+    """
+    return _estimate(a, n_e, c, n_ne, level, "stratum")
 
 
 def rr_crude(table: StratumTable, level: float = 0.95) -> RiskRatioEstimate:
     """Crude risk ratio of a cohort 2x2 table with its log-scale Wald CI."""
-    n_e, n_ne = table.n_exposed, table.n_unexposed
-    if n_e < 1 or n_ne < 1:
-        raise DegenerateTableError("empty exposure row in cohort table")
-    if table.a < 1 or table.c < 1:
-        raise DegenerateTableError(
-            f"zero outcome count (a={table.a}, c={table.c}): estimate or its log undefined"
-        )
-    z = z_quantile(level)
-    risk_e = table.a / n_e
-    risk_ne = table.c / n_ne
-    point = risk_e / risk_ne
-    log_se = math.sqrt((1.0 - risk_e) / table.a + (1.0 - risk_ne) / table.c)
-    half = z * log_se
-    return RiskRatioEstimate(
-        point=point,
-        log_se=log_se,
-        ci_lower=point * math.exp(-half),
-        ci_upper=point * math.exp(half),
-        level=level,
-    )
+    return _estimate(table.a, table.n_exposed, table.c, table.n_unexposed, level, "cohort")
 
 
 def rr1_estimate(tables: StratifiedTables, level: float = 0.95) -> RiskRatioEstimate:

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from condrisk import __version__
+from condrisk._backend import _BLOCK_CELLS
 from condrisk.coverage import (
     COVERAGE_CSV_HEADER,
     CoverageResult,
@@ -32,6 +34,8 @@ class TestScenario:
             Scenario(0, 10, 0.5, 0.5, 0.1, 0.1)
         with pytest.raises(DomainError):
             Scenario(10.0, 10, 0.5, 0.5, 0.1, 0.1)
+        with pytest.raises(DomainError):
+            Scenario(True, 10, 0.5, 0.5, 0.1, 0.1)
 
     def test_rejects_bad_stratum_and_level(self):
         with pytest.raises(DomainError):
@@ -97,6 +101,37 @@ class TestExactCoverage:
         assert res.noncover_mass == pytest.approx(noncover, abs=1e-12)
         assert res.degenerate_mass == pytest.approx(degenerate, abs=1e-12)
         assert res.truncation_bound == 0.0
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            Scenario(600, 450, 0.3, 0.2, 0.5, 0.4, stratum=1),
+            Scenario(400, 700, 0.2, 0.3, 0.1, 0.6, stratum=0),
+        ],
+        ids=lambda s: f"n{s.n_e}x{s.n_ne}-s{s.stratum}",
+    )
+    def test_multi_block_window_matches_brute_force(self, scenario):
+        assert (scenario.n_e - 1) * (scenario.n_ne - 1) > 2 * _BLOCK_CELLS
+        res = exact_coverage(scenario, prune_epsilon=0.0)
+        p_c, noncover, _ = brute_coverage(scenario)
+        assert res.p_c == pytest.approx(p_c, abs=1e-12)
+        assert res.noncover_mass == pytest.approx(noncover, abs=1e-12)
+
+    def test_degenerate_mass_is_nonnegative_at_large_n(self):
+        # 1 - (nondegenerate mass) came out near -8e-14 here
+        res = exact_coverage(Scenario(20000, 20000, 0.01, 0.01, 0.5, 0.5, stratum=0))
+        assert res.degenerate_mass >= 0.0
+
+    def test_degenerate_mass_matches_tiny_atoms(self):
+        # stratum-0 risk (1 - 0.4) * 0.5 = 0.3: the atoms are 0.7**n ~ 1e-77
+        scenario = Scenario(500, 400, 0.5, 0.5, 0.4, 0.4, stratum=0)
+        p_e, p_ne, _ = true_conditional_risks(scenario)
+        atoms_a = binom.pmf(0, 500, p_e) + binom.pmf(500, 500, p_e)
+        atoms_c = binom.pmf(0, 400, p_ne) + binom.pmf(400, 400, p_ne)
+        expected = atoms_a + atoms_c - atoms_a * atoms_c
+        assert expected > 0.0
+        res = exact_coverage(scenario)
+        assert res.degenerate_mass == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_masses_are_exhaustive(self):
         for prune in (0.0, 1e-12, 1e-8):

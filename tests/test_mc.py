@@ -35,6 +35,10 @@ class TestSpecValidation:
             CohortSpec(10, 10.0, params, params, seed=1, reps=10)
         with pytest.raises(DomainError):
             CohortSpec(10, 10, params, params, seed=1, reps=0)
+        with pytest.raises(DomainError):
+            CohortSpec(True, 10, params, params, seed=1, reps=10)
+        with pytest.raises(DomainError):
+            CohortSpec(10, 10, params, params, seed=1, reps=True)
 
     def test_rejects_bad_seed(self):
         params = BernoulliPairParams(0.5, 0.5, 0.1)
@@ -42,6 +46,8 @@ class TestSpecValidation:
             CohortSpec(10, 10, params, params, seed=-1, reps=10)
         with pytest.raises(DomainError):
             CohortSpec(10, 10, params, params, seed=2**64, reps=10)
+        with pytest.raises(DomainError):
+            CohortSpec(10, 10, params, params, seed=True, reps=10)
         CohortSpec(10, 10, params, params, seed=2**64 - 1, reps=10)
 
     def test_equal_marginal_spec_fields(self):

@@ -42,6 +42,8 @@ class TestTables:
     def test_rejects_non_integer(self):
         with pytest.raises(DegenerateTableError):
             StratumTable(1.5, 1, 2, 3)
+        with pytest.raises(DegenerateTableError):
+            StratumTable(1, 1, True, 3)
 
     def test_margins(self):
         t = StratumTable(3, 4, 5, 6)
