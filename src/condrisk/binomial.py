@@ -50,6 +50,7 @@ class _LogFactorialTable:
         self._hi = [0.0, 0.0]  # ln 0! = ln 1! = 0
         self._lo = [0.0, 0.0]
         self._lock = threading.Lock()
+        self._arrays = (np.empty(0), np.empty(0))  # float64 copies of _hi, _lo
 
     def ensure(self, n: int) -> None:
         if n < len(self._hi):
@@ -65,11 +66,21 @@ class _LogFactorialTable:
                 lo.append(e)
 
     def arrays(self, n: int):
+        """Read-only float64 views of ln(k!) (hi, lo) for k = 0..n.
+
+        The converted arrays are kept and rebuilt only when the table has
+        grown past them, so a call costs a slice, not a list conversion.
+        """
         self.ensure(n)
-        return (
-            np.asarray(self._hi[: n + 1], dtype=np.float64),
-            np.asarray(self._lo[: n + 1], dtype=np.float64),
-        )
+        hi, lo = self._arrays
+        if hi.size <= n:
+            with self._lock:
+                hi = np.array(self._hi, dtype=np.float64)
+                lo = np.array(self._lo, dtype=np.float64)
+                hi.setflags(write=False)
+                lo.setflags(write=False)
+                self._arrays = (hi, lo)
+        return hi[: n + 1], lo[: n + 1]
 
 
 _LFACT = _LogFactorialTable()
@@ -136,13 +147,21 @@ def pmf_vector(n: int, p: float) -> np.ndarray:
 
 
 def neumaier_sum(values, start: int = 0, stop: int | None = None) -> float:
-    """Compensated sum of values[start:stop] in ascending index order."""
-    if stop is None:
-        stop = len(values)
+    """Compensated (Neumaier) sum of values[start:stop] in ascending index order.
+
+    Only the span from the first to the last nonzero entry is visited.
+    That is exact, not an approximation: adding a zero leaves both the
+    running sum and its compensation unchanged, so the underflowed tails
+    of a large-n pmf can be skipped.  At n = 10^5 and p = 0.01 the span
+    is 2,360 entries.  values may be a list or an array.
+    """
+    span = np.asarray(values[start:stop], dtype=np.float64)
+    nonzero = np.flatnonzero(span)
+    if nonzero.size == 0:
+        return 0.0
     s = 0.0
     comp = 0.0
-    for i in range(start, stop):
-        x = float(values[i])
+    for x in span[nonzero[0]:nonzero[-1] + 1].tolist():
         t = s + x
         if abs(s) >= abs(x):
             comp += (s - t) + x
@@ -150,6 +169,12 @@ def neumaier_sum(values, start: int = 0, stop: int | None = None) -> float:
             comp += (x - t) + s
         s = t
     return s + comp
+
+
+def _dropped(tail: np.ndarray, budget: float) -> int:
+    """Number of leading entries of tail dropped: those whose running sum stays below budget."""
+    reached = ~(np.cumsum(tail) < budget)
+    return int(reached.argmax()) if reached.any() else tail.size
 
 
 def prune_window(pmf: np.ndarray, eps: float) -> tuple[int, int]:
@@ -161,16 +186,15 @@ def prune_window(pmf: np.ndarray, eps: float) -> tuple[int, int]:
     margin stays below eps/2 (both margins together: below eps).
     eps = 0 keeps the window exhaustive.  The window may be empty
     (lo > hi), e.g. for n = 1.
+
+    Each tail is one np.cumsum, which adds in index order, so its prefixes
+    are exactly the running dropped masses of an entry-by-entry scan, and
+    the first prefix that reaches eps/4 ends that tail.  The upper tail is
+    scanned only down to lo, so the two tails never overlap.
     """
-    n = len(pmf) - 1
-    lo, hi = 1, n - 1
+    pmf = np.asarray(pmf, dtype=np.float64)
+    n = pmf.size - 1
     budget = eps / 4.0
-    dropped = 0.0
-    while lo <= hi and dropped + pmf[lo] < budget:
-        dropped += pmf[lo]
-        lo += 1
-    dropped = 0.0
-    while hi >= lo and dropped + pmf[hi] < budget:
-        dropped += pmf[hi]
-        hi -= 1
+    lo = 1 + _dropped(pmf[1:n], budget)
+    hi = n - 1 - _dropped(pmf[lo:n][::-1], budget)
     return lo, hi

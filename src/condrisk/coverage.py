@@ -7,12 +7,21 @@ interval of each pair with measures.log_wald_bounds, and sums the joint
 probability of the pairs whose interval covers the population ratio.
 Tail pruning with a certified bound keeps large margins tractable;
 prune 0 is exhaustive.
+
+Everything the enumeration needs from one binomial margin depends only on
+(n, p, prune epsilon), and a grid shares each margin among many
+scenarios, so each margin is built once into a Margin and kept in a small
+least-recently-used cache for the length of a grid.
 """
 
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import _backend
 from ._version import __version__
@@ -125,42 +134,110 @@ class CoverageResult:
         return self.p_c / nondegenerate
 
 
+@dataclass(frozen=True)
+class Margin:
+    """The per-margin values of one Binomial(n, p) outcome count.
+
+    pmf is read-only, since scenarios sharing the margin share the array;
+    [lo, hi] is the pruned window, empty when lo > hi; nondegenerate is the
+    mass of 0 < k < n, window the mass of [lo, hi] (0.0 when empty), and
+    atoms the mass of k = 0 plus k = n.
+    """
+
+    pmf: np.ndarray
+    lo: int
+    hi: int
+    nondegenerate: float
+    window: float
+    atoms: float
+
+
+# Cap on the pmf bytes the margin cache holds: a Margin at n = 10^5 is
+# 0.8 MB, so the cap keeps about 80 of them.
+_MARGIN_CACHE_BYTES = 64 << 20
+_margins = OrderedDict()  # (n, p, prune_epsilon) -> Margin, least recent first
+_margin_bytes = 0
+_margin_lock = threading.Lock()
+
+
+def _build_margin(n: int, p: float, prune_epsilon: float) -> Margin:
+    pmf = pmf_vector(n, p)
+    pmf.setflags(write=False)
+    lo, hi = prune_window(pmf, prune_epsilon)
+    return Margin(
+        pmf=pmf,
+        lo=lo,
+        hi=hi,
+        nondegenerate=neumaier_sum(pmf, 1, n),
+        window=neumaier_sum(pmf, lo, hi + 1),
+        atoms=float(pmf[0]) + float(pmf[n]),
+    )
+
+
+def _margin(n: int, p: float, prune_epsilon: float) -> Margin:
+    """The Margin of Binomial(n, p) at this epsilon, built once while cached.
+
+    Least recently used margins are evicted once the cached pmfs exceed
+    _MARGIN_CACHE_BYTES; a margin larger than that is returned uncached.
+    """
+    global _margin_bytes
+    key = (n, p, prune_epsilon)
+    with _margin_lock:
+        margin = _margins.get(key)
+        if margin is not None:
+            _margins.move_to_end(key)
+            return margin
+    margin = _build_margin(n, p, prune_epsilon)
+    with _margin_lock:
+        if key not in _margins:
+            _margins[key] = margin
+            _margin_bytes += margin.pmf.nbytes
+        while _margin_bytes > _MARGIN_CACHE_BYTES:
+            _, old = _margins.popitem(last=False)
+            _margin_bytes -= old.pmf.nbytes
+    return margin
+
+
+def _clear_margins() -> None:
+    global _margin_bytes
+    with _margin_lock:
+        _margins.clear()
+        _margin_bytes = 0
+
+
 def exact_coverage(scenario: Scenario, prune_epsilon: float = DEFAULT_PRUNE) -> CoverageResult:
     """Exact CI coverage for one scenario by full table enumeration.
 
     Enumerates outcome-count pairs (a, c) with 0 < a < n_e, 0 < c < n_ne
     inside the pruned windows with the kernel in _backend, whose sums are
     reproducible to the last bit and independent of any parallel
-    scheduling above it.  The degenerate mass comes from the four atoms
-    (a or c at 0 or at its margin), so it is never negative.
+    scheduling above it.  Both margins come from the margin cache, so a
+    grid builds each distinct (n, p) pmf, window and mass sum once; a
+    cached margin holds exactly the values a fresh one would.  The
+    degenerate mass comes from the four atoms (a or c at 0 or at its
+    margin), so it is never negative.
     """
     _check_prune(prune_epsilon)
     p_e, p_ne, true_rr = true_conditional_risks(scenario)
     z = z_quantile(scenario.level)
-    pa = pmf_vector(scenario.n_e, p_e)
-    pc = pmf_vector(scenario.n_ne, p_ne)
-    nondegen_a = neumaier_sum(pa, 1, scenario.n_e)
-    nondegen_c = neumaier_sum(pc, 1, scenario.n_ne)
-    a_lo, a_hi = prune_window(pa, prune_epsilon)
-    c_lo, c_hi = prune_window(pc, prune_epsilon)
-    if a_lo > a_hi or c_lo > c_hi:
+    margin_a = _margin(scenario.n_e, p_e, prune_epsilon)
+    margin_c = _margin(scenario.n_ne, p_ne, prune_epsilon)
+    if margin_a.lo > margin_a.hi or margin_c.lo > margin_c.hi:
         cover, noncover = 0.0, 0.0
-        window = 0.0
     else:
         cover, noncover = _backend.cover_sums(
-            pa, pc, a_lo, a_hi, c_lo, c_hi,
+            margin_a.pmf, margin_c.pmf, margin_a.lo, margin_a.hi, margin_c.lo, margin_c.hi,
             scenario.n_e, scenario.n_ne, z, true_rr,
         )
-        window = neumaier_sum(pa, a_lo, a_hi + 1) * neumaier_sum(pc, c_lo, c_hi + 1)
     # P(a degenerate or c degenerate), by inclusion-exclusion over the atoms
-    atoms_a = float(pa[0]) + float(pa[-1])
-    atoms_c = float(pc[0]) + float(pc[-1])
+    atoms_a, atoms_c = margin_a.atoms, margin_c.atoms
+    nondegenerate = margin_a.nondegenerate * margin_c.nondegenerate
     return CoverageResult(
         true_rr=true_rr,
         p_c=cover,
         noncover_mass=noncover,
         degenerate_mass=atoms_a + atoms_c - atoms_a * atoms_c,
-        truncation_bound=max(0.0, nondegen_a * nondegen_c - window),
+        truncation_bound=max(0.0, nondegenerate - margin_a.window * margin_c.window),
     )
 
 
@@ -248,16 +325,20 @@ def run_grid(grid: GridSpec, prune_epsilon: float | None = None, threads: int = 
     """Evaluate every grid point, in grid order, flagging inadmissible ones.
 
     Points are independent, so workers only change wall time: the output
-    is bitwise identical for any thread count.
+    is bitwise identical for any thread count.  The margin cache is emptied
+    when the grid is done, so no margin outlives the grid that built it.
     """
     prune = grid.prune_epsilon if prune_epsilon is None else prune_epsilon
     _check_prune(prune)
     items = [(point, grid.stratum, grid.level, prune) for point in grid.points()]
-    if threads <= 1 or len(items) < 2:
-        return [_evaluate_point(item) for item in items]
-    chunk = max(1, len(items) // (threads * 8))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_evaluate_point, items, chunksize=chunk))
+    try:
+        if threads <= 1 or len(items) < 2:
+            return [_evaluate_point(item) for item in items]
+        chunk = max(1, len(items) // (threads * 8))
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(_evaluate_point, items, chunksize=chunk))
+    finally:
+        _clear_margins()
 
 
 def _fmt(value: float) -> str:

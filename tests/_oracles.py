@@ -3,6 +3,8 @@
 Everything here deliberately avoids the package's own numeric kernels:
 probabilities come from scipy, sums from math.fsum, correlations from
 numpy/statistics, so agreement with the package is a real cross-check.
+The two loop oracles keep the entry-by-entry scans that the package's
+vectorised neumaier_sum and prune_window must reproduce bit for bit.
 """
 
 import math
@@ -35,6 +37,39 @@ def brute_coverage(scenario):
     nondegen_a = math.fsum(pa[1:scenario.n_e])
     nondegen_c = math.fsum(pc[1:scenario.n_ne])
     return math.fsum(cover), math.fsum(noncover), 1.0 - nondegen_a * nondegen_c
+
+
+def loop_neumaier_sum(values, start=0, stop=None):
+    """Neumaier sum of values[start:stop], one entry at a time in index order."""
+    if stop is None:
+        stop = len(values)
+    s = 0.0
+    comp = 0.0
+    for i in range(start, stop):
+        x = float(values[i])
+        t = s + x
+        if abs(s) >= abs(x):
+            comp += (s - t) + x
+        else:
+            comp += (x - t) + s
+        s = t
+    return s + comp
+
+
+def loop_prune_window(pmf, eps):
+    """Prune window by scanning each tail while its dropped mass stays below eps/4."""
+    n = len(pmf) - 1
+    lo, hi = 1, n - 1
+    budget = eps / 4.0
+    dropped = 0.0
+    while lo <= hi and dropped + pmf[lo] < budget:
+        dropped += pmf[lo]
+        lo += 1
+    dropped = 0.0
+    while hi >= lo and dropped + pmf[hi] < budget:
+        dropped += pmf[hi]
+        hi -= 1
+    return lo, hi
 
 
 def expand_pairs(x1: int, y1: int, x0: int, y0: int):

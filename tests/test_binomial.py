@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from condrisk.binomial import (
+    _LogFactorialTable,
     binom_log_pmf,
     log_pmf_vector,
     neumaier_sum,
@@ -15,6 +16,8 @@ from condrisk.binomial import (
     prune_window,
 )
 from condrisk.errors import DomainError
+
+from _oracles import loop_neumaier_sum, loop_prune_window
 
 mp.mp.dps = 50
 
@@ -130,3 +133,94 @@ class TestPruneWindow:
         lo1, hi1 = prune_window(pmf, 1e-8)
         lo2, hi2 = prune_window(pmf, 1e-14)
         assert lo2 <= lo1 and hi2 >= hi1
+
+
+EPSILONS = (0.0, 1e-14, 1e-12, 1e-8)
+
+# entries of hand-made arrays: zero runs, dyadic values whose running sums
+# are exact, and arbitrary values in [0, 1]
+_ENTRY = st.one_of(
+    st.just(0.0),
+    st.integers(1, 40).map(lambda k: 2.0 ** -k),
+    st.floats(0.0, 1.0),
+)
+
+
+class TestScansMatchLoopOracles:
+    """prune_window and neumaier_sum equal the entry-by-entry loops exactly."""
+
+    @given(st.integers(1, 3000), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.sampled_from(EPSILONS))
+    @settings(max_examples=150, deadline=None)
+    def test_on_binomial_pmfs(self, n, p, eps):
+        pmf = pmf_vector(n, p)
+        lo, hi = prune_window(pmf, eps)
+        assert (lo, hi) == loop_prune_window(pmf, eps)
+        assert neumaier_sum(pmf, 1, n) == loop_neumaier_sum(pmf, 1, n)
+        assert neumaier_sum(pmf, lo, hi + 1) == loop_neumaier_sum(pmf, lo, hi + 1)
+        assert neumaier_sum(pmf.tolist(), lo, hi + 1) == loop_neumaier_sum(pmf, lo, hi + 1)
+
+    @given(st.lists(_ENTRY, max_size=40),
+           st.sampled_from(EPSILONS + (1e-6, 0.5, 4.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_window_on_hand_made_arrays(self, values, eps):
+        pmf = np.array(values)
+        assert prune_window(pmf, eps) == loop_prune_window(pmf, eps)
+
+    @given(st.lists(st.integers(1, 40).map(lambda k: 2.0 ** -k), min_size=3, max_size=12),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_window_when_a_tail_sum_lands_on_the_budget(self, values, data):
+        # dyadic entries of at most 40 bits sum exactly, so eps/4 is hit exactly
+        pmf = np.array(values)
+        n = pmf.size - 1
+        cut = data.draw(st.integers(1, n - 1), label="cut")
+        from_top = data.draw(st.booleans(), label="from_top")
+        tail = pmf[cut:n] if from_top else pmf[1:cut + 1]
+        eps = 4.0 * math.fsum(tail)
+        assert np.cumsum(tail[::-1] if from_top else tail)[-1] == eps / 4.0
+        lo, hi = prune_window(pmf, eps)
+        assert (lo, hi) == loop_prune_window(pmf, eps)
+        # the entry whose running sum reaches eps/4 is kept
+        if from_top:
+            assert hi >= cut
+        else:
+            assert lo <= cut
+
+    @pytest.mark.parametrize("pmf,eps,window", [
+        ([0.5, 0.5], 0.0, (1, 0)),                   # n = 1: empty window
+        ([0.0, 0.0, 1e-300, 0.0, 0.0], 1.0, (4, 3)),  # everything dropped
+        ([0.0, 0.0, 1e-3, 0.0, 0.0], 0.0, (1, 3)),    # eps = 0 drops nothing
+        ([0.0, 0.0, 1e-3, 0.0, 0.0], 1e-6, (2, 2)),   # a single nonzero entry
+        ([0.0], 0.0, (1, -1)),
+    ])
+    def test_window_edge_cases(self, pmf, eps, window):
+        assert prune_window(np.array(pmf), eps) == window == loop_prune_window(pmf, eps)
+
+    @given(st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e300, 1e300)), max_size=50),
+           st.integers(0, 50), st.integers(0, 50))
+    @settings(max_examples=300, deadline=None)
+    def test_sum_on_slices_and_lists(self, values, start, stop):
+        stop = min(stop, len(values))
+        start = min(start, stop)
+        expected = loop_neumaier_sum(values, start, stop)
+        assert neumaier_sum(values, start, stop) == expected
+        assert neumaier_sum(np.array(values), start, stop) == expected
+        assert neumaier_sum(values[start:stop]) == expected
+
+    def test_sum_of_a_single_nonzero_entry_among_zeros(self):
+        values = [0.0] * 7 + [0.1] + [0.0] * 5
+        assert neumaier_sum(values) == 0.1 == loop_neumaier_sum(values)
+        assert neumaier_sum(np.zeros(9)) == 0.0
+
+
+class TestLogFactorialArrays:
+    def test_arrays_are_kept_and_match_the_table(self):
+        table = _LogFactorialTable()
+        hi, lo = table.arrays(50)
+        assert hi.tolist() == table._hi[:51] and lo.tolist() == table._lo[:51]
+        again, _ = table.arrays(30)
+        assert np.shares_memory(hi, again)  # no new conversion below the kept size
+        grown, grown_lo = table.arrays(200)
+        assert grown.tolist() == table._hi[:201] and grown_lo.tolist() == table._lo[:201]
+        assert not hi.flags.writeable

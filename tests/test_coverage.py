@@ -1,13 +1,16 @@
 """Exact coverage engine: enumeration, pruning, grids, CSV, grid files."""
 
+import dataclasses
 import io
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
-from condrisk import __version__
+from condrisk import __version__, coverage
 from condrisk._backend import _BLOCK_CELLS
 from condrisk.coverage import (
     COVERAGE_CSV_HEADER,
@@ -186,6 +189,101 @@ class TestExactCoverage:
             exact_coverage(s, -1e-12)
         with pytest.raises(DomainError):
             exact_coverage(s, 1e-6)
+
+
+def _bits(result):
+    return tuple(float(v).hex() for v in dataclasses.astuple(result))
+
+
+# scenarios sharing margins: n and the stratum risk repeat across them
+SHARED_MARGINS = [
+    Scenario(30, 60, 0.2, 0.5, 0.1, 0.9),
+    Scenario(30, 30, 0.2, 0.2, 0.1, 0.1),
+    Scenario(60, 30, 0.5, 0.2, 0.9, 0.1),
+    Scenario(60, 60, 0.5, 0.5, 0.9, 0.9),
+    Scenario(30, 200, 0.2, 0.3, 0.1, 0.4),  # the n = 200 margin is built last
+]
+
+
+class TestMarginCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        coverage._clear_margins()
+        yield
+        coverage._clear_margins()
+
+    def cold(self, scenario):
+        coverage._clear_margins()
+        return exact_coverage(scenario)
+
+    def test_cold_and_warm_results_are_bitwise_equal(self):
+        cold = [_bits(self.cold(s)) for s in SHARED_MARGINS]
+        coverage._clear_margins()
+        warm = [_bits(exact_coverage(s)) for s in SHARED_MARGINS]
+        again = [_bits(exact_coverage(s)) for s in SHARED_MARGINS]
+        assert warm == cold and again == cold
+        assert len(coverage._margins) < 2 * len(SHARED_MARGINS)
+
+    def test_cached_pmf_is_read_only(self):
+        margin = coverage._margin(20, 0.3, 1e-12)
+        with pytest.raises(ValueError):
+            margin.pmf[3] = 1.0
+        assert coverage._margin(20, 0.3, 1e-12) is margin
+
+    def test_grid_builds_each_distinct_margin_once(self, monkeypatch):
+        grid = GridSpec((30, 60), (30, 60), (0.2, 0.5), (0.2, 0.5), (0.1, 0.9), (0.1, 0.9))
+        distinct = set()
+        for point in grid.points():
+            p_e, p_ne, _ = true_conditional_risks(Scenario(*point, grid.stratum, grid.level))
+            distinct |= {(point[0], p_e), (point[1], p_ne)}
+        built = []
+        pmf_vector = coverage.pmf_vector
+
+        def counting(n, p):
+            built.append((n, p))
+            return pmf_vector(n, p)
+
+        monkeypatch.setattr(coverage, "pmf_vector", counting)
+        run_grid(grid)
+        assert sorted(built) == sorted(distinct)
+        assert len(built) < 2 * grid.size()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cache_is_empty_after_run_grid(self, threads):
+        exact_coverage(SHARED_MARGINS[0])
+        assert coverage._margins
+        run_grid(TestGrids().small_grid(), threads=threads)
+        assert len(coverage._margins) == 0 and coverage._margin_bytes == 0
+
+    def test_small_byte_budget_holds_and_keeps_results(self, monkeypatch):
+        expected = [_bits(self.cold(s)) for s in SHARED_MARGINS]
+        coverage._clear_margins()
+        budget = 2 * 8 * 61  # two pmfs at n = 60; the n = 200 pmf never fits
+        monkeypatch.setattr(coverage, "_MARGIN_CACHE_BYTES", budget)
+        got = []
+        for scenario in SHARED_MARGINS * 2:
+            got.append(_bits(exact_coverage(scenario)))
+            held = sum(m.pmf.nbytes for m in coverage._margins.values())
+            assert held == coverage._margin_bytes <= budget
+        assert got == expected * 2
+        assert all(key[0] != 200 for key in coverage._margins)
+
+    def test_threads_sharing_the_cache_keep_its_byte_count(self, monkeypatch):
+        expected = [_bits(self.cold(s)) for s in SHARED_MARGINS]
+        coverage._clear_margins()
+        monkeypatch.setattr(coverage, "_MARGIN_CACHE_BYTES", 4 * 8 * 61)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(lambda: [_bits(exact_coverage(s)) for s in SHARED_MARGINS])
+                           for _ in range(12)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 12
+        held = sum(m.pmf.nbytes for m in coverage._margins.values())
+        assert held == coverage._margin_bytes <= 4 * 8 * 61
 
 
 class TestGrids:
