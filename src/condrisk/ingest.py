@@ -1,19 +1,35 @@
 """Longitudinal dataset parsing and the full per-visit-pair analysis.
 
-Input is one row per subject: an id, an exposure label, and one binary
-outcome column per visit.  Subjects with any missing outcome are
-dropped at parse time and counted (complete-case rule).  For each
-requested visit pair (j, k) the analysis stratifies the time-j
-exposure-by-outcome table on the time-k outcome and reports the crude
-and conditional risk ratios with CIs plus the within-group outcome
-correlations.  Degenerate cells yield "not estimable" entries, never a
-crash.
+Input is wide (header id,exposure,y1,...,yT: one row per subject) or
+long (header id,exposure,visit,y: one row per observation).  Both
+parsers read the file in blocks of _BLOCK_ROWS rows and check each block
+with array operations; the first offending row raises ParseError with
+its line number, as a row-by-row reader would.  Subjects with any
+missing outcome are dropped and counted (complete-case rule).  A dataset
+holds only complete subjects, as columns: their ids, a read-only
+exposure flag per subject and a read-only subjects x visits int8 outcome
+matrix; Subject records are built only on request.  Parsing holds one
+block of rows, the id table and the outcome matrix, and for a long file
+also a few bytes per observation row.  A long file whose largest visit
+exceeds its number of observation rows is rejected, since no subject can
+then have every visit, so parse and analysis work stay linear in the
+input size.
+
+For each requested visit pair (j, k) the analysis stratifies the time-j
+exposure-by-outcome table on the time-k outcome (one bincount) and
+reports the crude and conditional risk ratios with CIs plus the
+within-group outcome correlations.  Degenerate cells yield "not
+estimable" entries, never a crash.
 """
 
 import csv
 import math
 import os
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import itemgetter
+
+import numpy as np
 
 from ._version import __version__
 from .errors import DegenerateTableError, DomainError, ParseError
@@ -33,6 +49,13 @@ MEASURES_CSV_HEADER = "j,k,measure,point,ci_lower,ci_upper,rho_E,rho_nonE"
 GROUP_EXPOSED = "E"
 GROUP_UNEXPOSED = "nonE"
 
+_BLOCK_ROWS = 1 << 12  # rows a parser holds at once
+_OUTCOME_CODES = {"0": 0, "1": 1, "": 2}
+_EMPTY, _BAD = 2, 3  # outcome codes besides 0 and 1
+# Visits at or above this are coded _VISIT_CAP + the rank of their first
+# appearance, so that every visit fits int64 and equal visits stay equal.
+_VISIT_CAP = 1 << 62
+
 
 @dataclass(frozen=True)
 class Subject:
@@ -41,34 +64,55 @@ class Subject:
     outcomes: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LongitudinalDataset:
-    """Complete-case cohort: every subject has all n_visits outcomes."""
+    """Complete-case cohort: every subject has all n_visits outcomes.
 
-    subjects: tuple
+    ids holds the subject ids (file order for wide input, first-seen
+    order for long), exposed a read-only bool per subject and outcomes a
+    read-only int8 matrix of 0/1, subjects x visits.
+    """
+
+    ids: tuple
+    exposed: np.ndarray
+    outcomes: np.ndarray
     n_visits: int
     dropped_incomplete: int
     exposed_label: str
     unexposed_label: str
 
+    def __post_init__(self):
+        ids = tuple(self.ids)
+        exposed = np.array(self.exposed, dtype=bool)
+        outcomes = np.array(self.outcomes, dtype=np.int8)
+        if exposed.shape != (len(ids),) or outcomes.shape != (len(ids), self.n_visits):
+            raise ValueError(
+                f"{len(ids)} ids need exposed of shape ({len(ids)},) and outcomes of shape "
+                f"({len(ids)}, {self.n_visits}), got {exposed.shape} and {outcomes.shape}"
+            )
+        if not np.isin(outcomes, (0, 1)).all():
+            raise ValueError("outcomes must be 0 or 1")
+        exposed.setflags(write=False)
+        outcomes.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "exposed", exposed)
+        object.__setattr__(self, "outcomes", outcomes)
+
     @property
     def n_exposed(self) -> int:
-        return sum(1 for s in self.subjects if s.exposed)
+        return int(np.count_nonzero(self.exposed))
 
     @property
     def n_unexposed(self) -> int:
-        return sum(1 for s in self.subjects if not s.exposed)
+        return len(self.ids) - self.n_exposed
 
-
-def _parse_outcome(token: str, lineno: int):
-    token = token.strip()
-    if token == "":
-        return None
-    if token == "0":
-        return 0
-    if token == "1":
-        return 1
-    raise ParseError(f"outcome value must be 0, 1, or empty, got {token!r}", line=lineno)
+    @property
+    def subjects(self) -> tuple:
+        """One Subject per subject, built from the columns on each call; the analysis does not use it."""
+        return tuple(
+            Subject(id=sid, exposed=exposed, outcomes=tuple(outcomes))
+            for sid, exposed, outcomes in zip(self.ids, self.exposed.tolist(), self.outcomes.tolist())
+        )
 
 
 def _check_exposure_labels(values_seen: dict, exposed_value: str, any_rows: bool) -> tuple[str, str]:
@@ -82,6 +126,99 @@ def _check_exposure_labels(values_seen: dict, exposed_value: str, any_rows: bool
         )
     others = [v for v in values_seen if v != exposed_value]
     return exposed_value, others[0] if others else ""
+
+
+def _blank(row) -> bool:
+    return not any(f.strip() for f in row)
+
+
+def _read_header(reader) -> list:
+    for row in reader:
+        if not _blank(row):
+            return [f.strip() for f in row]
+    raise ParseError("empty file")
+
+
+def _row_blocks(reader):
+    """The non-blank rows after the header, at most _BLOCK_ROWS at a time.
+
+    Yields (rows, lines): each row's line number is reader.line_num after
+    it, the last line of a row that a quoted newline spans.
+    """
+    rows, lines = [], []
+    for row in reader:
+        if (row and row[0].strip()) or not _blank(row):  # a non-empty id settles most rows
+            rows.append(row)
+            lines.append(reader.line_num)
+            if len(rows) == _BLOCK_ROWS:
+                yield rows, lines
+                rows, lines = [], []
+    if rows:
+        yield rows, lines
+
+
+class _Block:
+    """A block of rows checked stage by stage, in the order a row is checked.
+
+    check() records the first row a stage rejects and cuts the block
+    before it, so each later stage sees only rows that passed every
+    earlier one; the error left at the end is the first offending row's
+    first fault.
+    """
+
+    def __init__(self, rows, lines):
+        self.rows, self.lines = rows, lines
+        self.error = None
+
+    def check(self, bad, message) -> None:
+        hits = np.flatnonzero(bad[:len(self.rows)])
+        if hits.size:
+            i = int(hits[0])
+            self.error = ParseError(message(i), line=self.lines[i])
+            self.rows, self.lines = self.rows[:i], self.lines[:i]
+
+    def column(self, index: int) -> list:
+        return list(map(str.strip, map(itemgetter(index), self.rows)))
+
+    def check_field_count(self, width: int) -> None:
+        lengths = np.fromiter(map(len, self.rows), dtype=np.int64, count=len(self.rows))
+        self.check(lengths != width, lambda i: f"expected {width} fields, got {lengths[i]}")
+
+    def check_labels(self, labels: dict) -> np.ndarray:
+        """Label codes in first-seen order; a third label is a fault."""
+        names = self.column(1)
+        codes = _numbers(names, labels)
+        self.check(codes >= 2, lambda i: f"exposure column has more than two values (third value {names[i]!r})")
+        return codes[:len(self.rows)]
+
+
+def _numbers(keys: list, table: dict) -> np.ndarray:
+    """Each key's number in table; a key not yet in it gets the next number."""
+    return np.array([table.setdefault(key, len(table)) for key in keys], dtype=np.int64)
+
+
+def _ints(tokens: list) -> list:
+    """int() of each token, stopping before the first that is not an integer."""
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        values = []
+        for token in tokens:
+            try:
+                values.append(int(token))
+            except ValueError:
+                break
+        return values
+
+
+def _visit_codes(visits: list, huge: dict) -> np.ndarray:
+    """Visits as int64; negatives (rejected later) become 0, huge ones are ranked."""
+    if visits and (min(visits) < 0 or max(visits) >= _VISIT_CAP):
+        visits = [
+            max(v, 0) if v < _VISIT_CAP else _VISIT_CAP + huge.setdefault(v, len(huge))
+            for v in visits
+        ]
+    return np.array(visits, dtype=np.int64)
 
 
 def parse_dataset(source, exposed_value: str) -> LongitudinalDataset:
@@ -99,13 +236,7 @@ def parse_dataset(source, exposed_value: str) -> LongitudinalDataset:
 
 def _parse_wide(handle, exposed_value: str) -> LongitudinalDataset:
     reader = csv.reader(handle)
-    header = None
-    for row in reader:
-        if row and any(f.strip() for f in row):
-            header = [f.strip() for f in row]
-            break
-    if header is None:
-        raise ParseError("empty file")
+    header = _read_header(reader)
     n_visits = len(header) - 2
     expected = ["id", "exposure"] + [f"y{i}" for i in range(1, n_visits + 1)]
     if n_visits < 2 or header != expected:
@@ -113,37 +244,37 @@ def _parse_wide(handle, exposed_value: str) -> LongitudinalDataset:
             f"header must be id,exposure,y1,...,yT with T >= 2, got {','.join(header)}",
             line=reader.line_num,
         )
-    subjects = []
-    dropped = 0
-    values_seen = {}
-    for row in reader:
-        if not row or not any(f.strip() for f in row):
-            continue
-        lineno = reader.line_num
-        if len(row) != n_visits + 2:
-            raise ParseError(
-                f"expected {n_visits + 2} fields, got {len(row)}", line=lineno
-            )
-        sid = row[0].strip()
-        label = row[1].strip()
-        values_seen.setdefault(label, lineno)
-        if len(values_seen) > 2:
-            raise ParseError(
-                f"exposure column has more than two values (third value {label!r})",
-                line=lineno,
-            )
-        outcomes = [_parse_outcome(tok, lineno) for tok in row[2:]]
-        if any(o is None for o in outcomes):
-            dropped += 1
-            continue
-        subjects.append(Subject(id=sid, exposed=(label == exposed_value), outcomes=tuple(outcomes)))
-    exposed_label, unexposed_label = _check_exposure_labels(
-        values_seen, exposed_value, any_rows=bool(subjects) or dropped > 0
-    )
+    labels = {}
+    ids, codes, outcomes = [], [np.empty(0, np.int64)], [np.empty((0, n_visits), np.int8)]
+    n_rows = 0
+    for rows, lines in _row_blocks(reader):
+        block = _Block(rows, lines)
+        block.check_field_count(n_visits + 2)
+        label_codes = block.check_labels(labels)
+        y = np.array(
+            [_OUTCOME_CODES.get(t.strip(), _BAD) for row in block.rows for t in row[2:]],
+            dtype=np.int8,
+        ).reshape(len(block.rows), n_visits)
+        bad = y == _BAD
+        block.check(
+            bad.any(axis=1),
+            lambda i: "outcome value must be 0, 1, or empty, got "
+                      f"{block.rows[i][2 + int(bad[i].argmax())].strip()!r}",
+        )
+        if block.error is not None:
+            raise block.error
+        complete = ~(y == _EMPTY).any(axis=1)
+        ids.extend(compress(block.column(0), complete.tolist()))
+        codes.append(label_codes[complete])
+        outcomes.append(y[complete])
+        n_rows += len(rows)
+    exposed_label, unexposed_label = _check_exposure_labels(labels, exposed_value, n_rows > 0)
     return LongitudinalDataset(
-        subjects=tuple(subjects),
+        ids=tuple(ids),
+        exposed=np.concatenate(codes) == labels.get(exposed_value, -1),
+        outcomes=np.concatenate(outcomes),
         n_visits=n_visits,
-        dropped_incomplete=dropped,
+        dropped_incomplete=n_rows - len(ids),
         exposed_label=exposed_label,
         unexposed_label=unexposed_label,
     )
@@ -152,10 +283,11 @@ def _parse_wide(handle, exposed_value: str) -> LongitudinalDataset:
 def parse_long_dataset(source, exposed_value: str) -> LongitudinalDataset:
     """Parse the long per-observation CSV: header id,exposure,visit,y.
 
-    Visits must be integers 1..T; T is the largest visit in the file.
-    A subject missing any visit (or with an empty y) is dropped and
-    counted.  Conflicting exposure labels or duplicate (id, visit) rows
-    raise ParseError.
+    Visits must be integers 1..T; T is the largest visit in the file,
+    and may not exceed the number of observation rows.  A subject
+    missing any visit (or with an empty y) is dropped and counted.
+    Conflicting exposure labels or duplicate (id, visit) rows raise
+    ParseError.
     """
     if hasattr(source, "read"):
         return _parse_long(source, exposed_value)
@@ -163,78 +295,118 @@ def parse_long_dataset(source, exposed_value: str) -> LongitudinalDataset:
         return _parse_long(handle, exposed_value)
 
 
+class _Observations:
+    """The long file's accepted rows as columns: subject, visit code, outcome code, line."""
+
+    def __init__(self):
+        self.index = {}  # subject id -> subject number, in first-seen order
+        self.labels = {}  # exposure label -> code, in first-seen order
+        self.subject_label = np.empty(0, dtype=np.int64)
+        self.huge = {}  # visit >= _VISIT_CAP -> rank
+        # per column, its blocks' arrays; columns() joins each into one
+        self.parts = tuple([np.empty(0, dtype)] for dtype in (np.int64, np.int64, np.int8, np.int64))
+        self.max_visit, self.max_line = 0, None
+
+    def add(self, rows, lines) -> None:
+        """Check one block and keep its rows; raise at the first offending row."""
+        block = _Block(rows, lines)
+        block.check_field_count(4)
+        tokens = block.column(2)
+        visits = _ints(tokens)
+        block.check(
+            np.arange(len(tokens)) >= len(visits),
+            lambda i: f"visit must be an integer, got {tokens[i]!r}",
+        )
+        codes = _visit_codes(visits, self.huge)
+        block.check(codes < 1, lambda i: f"visit must be >= 1, got {visits[i]}")
+        y_tokens = block.column(3)
+        y = np.fromiter(map(_OUTCOME_CODES.get, y_tokens, repeat(_BAD)), dtype=np.int8, count=len(y_tokens))
+        block.check(y == _BAD, lambda i: f"outcome value must be 0, 1, or empty, got {y_tokens[i]!r}")
+        label = block.check_labels(self.labels)
+        sids = block.column(0)
+        subject = _numbers(sids, self.index)
+        self._label_new_subjects(subject, label)
+        names = list(self.labels)
+        first = self.subject_label[subject]
+        block.check(
+            label != first,
+            lambda i: f"subject {sids[i]!r} has conflicting exposure labels "
+                      f"{names[first[i]]!r} and {names[label[i]]!r}",
+        )
+        n = len(block.rows)
+        for parts, column in zip(self.parts, (subject, codes, y, np.array(block.lines, dtype=np.int64))):
+            parts.append(column[:n])
+        top = max(visits[:n], default=0)
+        if top > self.max_visit:
+            self.max_visit, self.max_line = top, block.lines[visits.index(top)]
+        if block.error is not None:
+            self.check_duplicates()
+            raise block.error
+
+    def _label_new_subjects(self, subject, label) -> None:
+        """Give each subject first seen in this block the label of its first row."""
+        is_new = subject >= len(self.subject_label)
+        _, first_row = np.unique(subject[is_new], return_index=True)
+        rows = np.flatnonzero(is_new)[first_row]
+        self.subject_label = np.concatenate((self.subject_label, label[rows]))
+
+    def columns(self):
+        """(subject, visit code, outcome code, line) over every row kept."""
+        for parts in self.parts:
+            parts[:] = [np.concatenate(parts)]  # one column at a time bounds the copy
+        return tuple(parts[0] for parts in self.parts)
+
+    def check_duplicates(self) -> None:
+        """Raise at the first row whose (subject, visit) an earlier row has."""
+        subject, codes, _, lines = self.columns()
+        order = np.lexsort((np.arange(len(subject)), codes, subject))  # equal keys in file order
+        repeat = (subject[order[1:]] == subject[order[:-1]]) & (codes[order[1:]] == codes[order[:-1]])
+        if repeat.any():
+            row = int(order[1:][repeat].min())
+            visit = int(codes[row])
+            if visit >= _VISIT_CAP:
+                visit = next(v for v, rank in self.huge.items() if rank == visit - _VISIT_CAP)
+            sid = next(s for s, number in self.index.items() if number == subject[row])
+            raise ParseError(f"duplicate visit {visit} for subject {sid!r}", line=int(lines[row]))
+
+
 def _parse_long(handle, exposed_value: str) -> LongitudinalDataset:
     reader = csv.reader(handle)
-    header = None
-    for row in reader:
-        if row and any(f.strip() for f in row):
-            header = [f.strip() for f in row]
-            break
-    if header is None:
-        raise ParseError("empty file")
+    header = _read_header(reader)
     if header != ["id", "exposure", "visit", "y"]:
         raise ParseError(
             f"header must be id,exposure,visit,y, got {','.join(header)}",
             line=reader.line_num,
         )
-    order = []
-    exposure = {}
-    obs = {}
-    values_seen = {}
-    max_visit = 0
-    for row in reader:
-        if not row or not any(f.strip() for f in row):
-            continue
-        lineno = reader.line_num
-        if len(row) != 4:
-            raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
-        sid = row[0].strip()
-        label = row[1].strip()
-        try:
-            visit = int(row[2].strip())
-        except ValueError:
-            raise ParseError(f"visit must be an integer, got {row[2].strip()!r}", line=lineno) from None
-        if visit < 1:
-            raise ParseError(f"visit must be >= 1, got {visit}", line=lineno)
-        y = _parse_outcome(row[3], lineno)
-        values_seen.setdefault(label, lineno)
-        if len(values_seen) > 2:
-            raise ParseError(
-                f"exposure column has more than two values (third value {label!r})",
-                line=lineno,
-            )
-        if sid not in exposure:
-            order.append(sid)
-            exposure[sid] = label
-            obs[sid] = {}
-        elif exposure[sid] != label:
-            raise ParseError(
-                f"subject {sid!r} has conflicting exposure labels "
-                f"{exposure[sid]!r} and {label!r}", line=lineno,
-            )
-        if visit in obs[sid]:
-            raise ParseError(f"duplicate visit {visit} for subject {sid!r}", line=lineno)
-        obs[sid][visit] = y
-        max_visit = max(max_visit, visit)
-    if max_visit < 2:
-        raise ParseError("need outcomes for at least 2 visits")
-    subjects = []
-    dropped = 0
-    for sid in order:
-        outcomes = [obs[sid].get(v) for v in range(1, max_visit + 1)]
-        if any(o is None for o in outcomes):
-            dropped += 1
-            continue
-        subjects.append(
-            Subject(id=sid, exposed=(exposure[sid] == exposed_value), outcomes=tuple(outcomes))
+    obs = _Observations()
+    for rows, lines in _row_blocks(reader):
+        obs.add(rows, lines)
+    obs.check_duplicates()
+    subject, visit, y, _ = obs.columns()
+    n_visits = obs.max_visit
+    if n_visits > len(subject):
+        raise ParseError(
+            f"visit {n_visits} exceeds the number of observation rows ({len(subject)}), "
+            "so no subject can have every visit",
+            line=obs.max_line,
         )
-    exposed_label, unexposed_label = _check_exposure_labels(
-        values_seen, exposed_value, any_rows=bool(subjects) or dropped > 0
+    if n_visits < 2:
+        raise ParseError("need outcomes for at least 2 visits")
+    # With no duplicate and every visit in 1..T, T rows make a subject complete.
+    n_subjects = len(obs.index)
+    complete = (np.bincount(subject, minlength=n_subjects) == n_visits) & (
+        np.bincount(subject[y == _EMPTY], minlength=n_subjects) == 0
     )
+    keep = complete[subject]
+    outcomes = np.zeros((int(np.count_nonzero(complete)), n_visits), dtype=np.int8)
+    outcomes[(np.cumsum(complete) - 1)[subject[keep]], visit[keep] - 1] = y[keep]
+    exposed_label, unexposed_label = _check_exposure_labels(obs.labels, exposed_value, len(subject) > 0)
     return LongitudinalDataset(
-        subjects=tuple(subjects),
-        n_visits=max_visit,
-        dropped_incomplete=dropped,
+        ids=tuple(compress(obs.index, complete.tolist())),
+        exposed=obs.subject_label[complete] == obs.labels.get(exposed_value, -1),
+        outcomes=outcomes,
+        n_visits=n_visits,
+        dropped_incomplete=n_subjects - len(outcomes),
         exposed_label=exposed_label,
         unexposed_label=unexposed_label,
     )
@@ -246,16 +418,10 @@ def build_conditional_tables(data: LongitudinalDataset, j: int, k: int) -> Strat
         raise DomainError(
             f"need 1 <= k < j <= {data.n_visits}, got j={j}, k={k}"
         )
-    counts = [[0, 0, 0, 0], [0, 0, 0, 0]]  # [stratum][a, b, c, d]
-    for s in data.subjects:
-        y_k = s.outcomes[k - 1]
-        y_j = s.outcomes[j - 1]
-        if s.exposed:
-            cell = 0 if y_j == 1 else 1
-        else:
-            cell = 2 if y_j == 1 else 3
-        counts[y_k][cell] += 1
-    one, zero = counts[1], counts[0]
+    # cell within a stratum: a, b (exposed, outcome 1/0 at j), then c, d (non-exposed)
+    cell = 2 * ~data.exposed + (1 - data.outcomes[:, j - 1])
+    counts = np.bincount(4 * data.outcomes[:, k - 1] + cell, minlength=8).tolist()
+    zero, one = counts[:4], counts[4:]
     return StratifiedTables(
         stratum1=StratumTable(a=one[0], b=one[1], c=one[2], d=one[3]),
         stratum0=StratumTable(a=zero[0], b=zero[1], c=zero[2], d=zero[3]),
@@ -266,12 +432,12 @@ def visit_risks(data: LongitudinalDataset) -> list:
     """Rows (visit, exposed risk, non-exposed risk); nan when a group is empty."""
     n_e = data.n_exposed
     n_ne = data.n_unexposed
+    yes_e = data.outcomes[data.exposed].sum(axis=0).tolist()
+    yes_ne = data.outcomes[~data.exposed].sum(axis=0).tolist()
     rows = []
     for visit in range(1, data.n_visits + 1):
-        yes_e = sum(1 for s in data.subjects if s.exposed and s.outcomes[visit - 1] == 1)
-        yes_ne = sum(1 for s in data.subjects if not s.exposed and s.outcomes[visit - 1] == 1)
-        risk_e = yes_e / n_e if n_e else math.nan
-        risk_ne = yes_ne / n_ne if n_ne else math.nan
+        risk_e = yes_e[visit - 1] / n_e if n_e else math.nan
+        risk_ne = yes_ne[visit - 1] / n_ne if n_ne else math.nan
         rows.append((visit, risk_e, risk_ne))
     return rows
 

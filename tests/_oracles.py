@@ -3,16 +3,20 @@
 Everything here deliberately avoids the package's own numeric kernels:
 probabilities come from scipy, sums from math.fsum, correlations from
 numpy/statistics, so agreement with the package is a real cross-check.
-The two loop oracles keep the entry-by-entry scans that the package's
-vectorised neumaier_sum and prune_window must reproduce bit for bit.
+The loop oracles keep the entry-by-entry scans that the package's
+vectorised neumaier_sum and prune_window must reproduce bit for bit, and
+the row-by-row parsers, table count and risks that the columnar ingest
+must reproduce exactly.
 """
 
+import csv
 import math
 
 import numpy as np
 from scipy.stats import binom as _sbinom
 
 from condrisk.coverage import true_conditional_risks
+from condrisk.errors import ParseError
 from condrisk.measures import StratifiedTables, StratumTable, stratum_rr_estimate
 
 
@@ -104,3 +108,181 @@ def plug_in_inputs(tables: StratifiedTables):
     pi_j_ne = (s1.c + s0.c) / n_ne
     pi_k_ne = s1.n_unexposed / n_ne
     return pi_j_e, pi_k_e, pi_j_ne, pi_k_ne
+
+
+# Row-by-row ingest.  A parse returns (ids, exposed, outcomes, n_visits,
+# dropped_incomplete, exposed_label, unexposed_label) with plain Python
+# values, or raises ParseError.
+
+def _loop_outcome(token, lineno):
+    token = token.strip()
+    if token == "":
+        return None
+    if token == "0":
+        return 0
+    if token == "1":
+        return 1
+    raise ParseError(f"outcome value must be 0, 1, or empty, got {token!r}", line=lineno)
+
+
+def _loop_labels(values_seen, exposed_value, any_rows):
+    if len(values_seen) > 2:
+        labels = ", ".join(repr(v) for v in values_seen)
+        raise ParseError(f"exposure column has more than two values: {labels}")
+    if any_rows and exposed_value not in values_seen:
+        labels = ", ".join(repr(v) for v in values_seen) or "none"
+        raise ParseError(
+            f"exposed value {exposed_value!r} not present in exposure column (found: {labels})"
+        )
+    others = [v for v in values_seen if v != exposed_value]
+    return exposed_value, others[0] if others else ""
+
+
+def _loop_header(reader):
+    for row in reader:
+        if row and any(f.strip() for f in row):
+            return [f.strip() for f in row]
+    raise ParseError("empty file")
+
+
+def _loop_result(subjects, n_visits, dropped, labels):
+    return (
+        tuple(sid for sid, _, _ in subjects),
+        [exposed for _, exposed, _ in subjects],
+        [list(outcomes) for _, _, outcomes in subjects],
+        n_visits, dropped, *labels,
+    )
+
+
+def loop_parse_wide(handle, exposed_value):
+    """The wide parser, one row and one outcome at a time."""
+    reader = csv.reader(handle)
+    header = _loop_header(reader)
+    n_visits = len(header) - 2
+    expected = ["id", "exposure"] + [f"y{i}" for i in range(1, n_visits + 1)]
+    if n_visits < 2 or header != expected:
+        raise ParseError(
+            f"header must be id,exposure,y1,...,yT with T >= 2, got {','.join(header)}",
+            line=reader.line_num,
+        )
+    subjects = []
+    dropped = 0
+    values_seen = {}
+    for row in reader:
+        if not row or not any(f.strip() for f in row):
+            continue
+        lineno = reader.line_num
+        if len(row) != n_visits + 2:
+            raise ParseError(f"expected {n_visits + 2} fields, got {len(row)}", line=lineno)
+        sid = row[0].strip()
+        label = row[1].strip()
+        values_seen.setdefault(label, lineno)
+        if len(values_seen) > 2:
+            raise ParseError(
+                f"exposure column has more than two values (third value {label!r})", line=lineno
+            )
+        outcomes = [_loop_outcome(tok, lineno) for tok in row[2:]]
+        if any(o is None for o in outcomes):
+            dropped += 1
+            continue
+        subjects.append((sid, label == exposed_value, outcomes))
+    labels = _loop_labels(values_seen, exposed_value, any_rows=bool(subjects) or dropped > 0)
+    return _loop_result(subjects, n_visits, dropped, labels)
+
+
+def loop_parse_long(handle, exposed_value):
+    """The long parser, one observation at a time, plus the rule that the
+    largest visit may not exceed the number of observation rows."""
+    reader = csv.reader(handle)
+    header = _loop_header(reader)
+    if header != ["id", "exposure", "visit", "y"]:
+        raise ParseError(f"header must be id,exposure,visit,y, got {','.join(header)}",
+                         line=reader.line_num)
+    order = []
+    exposure = {}
+    obs = {}
+    values_seen = {}
+    max_visit = 0
+    max_line = None
+    n_rows = 0
+    for row in reader:
+        if not row or not any(f.strip() for f in row):
+            continue
+        lineno = reader.line_num
+        if len(row) != 4:
+            raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
+        sid = row[0].strip()
+        label = row[1].strip()
+        try:
+            visit = int(row[2].strip())
+        except ValueError:
+            raise ParseError(f"visit must be an integer, got {row[2].strip()!r}", line=lineno) from None
+        if visit < 1:
+            raise ParseError(f"visit must be >= 1, got {visit}", line=lineno)
+        y = _loop_outcome(row[3], lineno)
+        values_seen.setdefault(label, lineno)
+        if len(values_seen) > 2:
+            raise ParseError(
+                f"exposure column has more than two values (third value {label!r})", line=lineno
+            )
+        if sid not in exposure:
+            order.append(sid)
+            exposure[sid] = label
+            obs[sid] = {}
+        elif exposure[sid] != label:
+            raise ParseError(
+                f"subject {sid!r} has conflicting exposure labels "
+                f"{exposure[sid]!r} and {label!r}", line=lineno,
+            )
+        if visit in obs[sid]:
+            raise ParseError(f"duplicate visit {visit} for subject {sid!r}", line=lineno)
+        obs[sid][visit] = y
+        n_rows += 1
+        if visit > max_visit:
+            max_visit, max_line = visit, lineno
+    if max_visit > n_rows:
+        raise ParseError(
+            f"visit {max_visit} exceeds the number of observation rows ({n_rows}), "
+            "so no subject can have every visit",
+            line=max_line,
+        )
+    if max_visit < 2:
+        raise ParseError("need outcomes for at least 2 visits")
+    subjects = []
+    dropped = 0
+    for sid in order:
+        outcomes = [obs[sid].get(v) for v in range(1, max_visit + 1)]
+        if any(o is None for o in outcomes):
+            dropped += 1
+            continue
+        subjects.append((sid, exposure[sid] == exposed_value, outcomes))
+    labels = _loop_labels(values_seen, exposed_value, any_rows=bool(subjects) or dropped > 0)
+    return _loop_result(subjects, max_visit, dropped, labels)
+
+
+def loop_conditional_tables(exposed, outcomes, j, k):
+    """[stratum 1 counts, stratum 0 counts], each [a, b, c, d], one subject at a time."""
+    counts = [[0, 0, 0, 0], [0, 0, 0, 0]]  # [stratum][a, b, c, d]
+    for is_exposed, ys in zip(exposed, outcomes):
+        y_k = ys[k - 1]
+        y_j = ys[j - 1]
+        if is_exposed:
+            cell = 0 if y_j == 1 else 1
+        else:
+            cell = 2 if y_j == 1 else 3
+        counts[y_k][cell] += 1
+    return [counts[1], counts[0]]
+
+
+def loop_visit_risks(exposed, outcomes, n_visits):
+    """(visit, exposed risk, non-exposed risk) rows, one subject at a time."""
+    n_e = sum(1 for e in exposed if e)
+    n_ne = sum(1 for e in exposed if not e)
+    rows = []
+    for visit in range(1, n_visits + 1):
+        yes_e = sum(1 for e, ys in zip(exposed, outcomes) if e and ys[visit - 1] == 1)
+        yes_ne = sum(1 for e, ys in zip(exposed, outcomes) if not e and ys[visit - 1] == 1)
+        risk_e = yes_e / n_e if n_e else math.nan
+        risk_ne = yes_ne / n_ne if n_ne else math.nan
+        rows.append((visit, risk_e, risk_ne))
+    return rows

@@ -1,12 +1,24 @@
 """Dataset parsing (wide and long), table building, analysis, writers."""
 
+import csv
 import io
 import math
+import struct
 import textwrap
+import time
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from condrisk import __version__
+from _oracles import (
+    loop_conditional_tables,
+    loop_parse_long,
+    loop_parse_wide,
+    loop_visit_risks,
+)
+from condrisk import __version__, ingest
 from condrisk.errors import DomainError, ParseError
 from condrisk.ingest import (
     GROUP_EXPOSED,
@@ -63,7 +75,9 @@ LONG_TEXT = textwrap.dedent(
 
 def dataset_from_subjects(subjects, n_visits, exposed_label="150", unexposed_label="100"):
     return LongitudinalDataset(
-        subjects=tuple(subjects),
+        ids=tuple(s.id for s in subjects),
+        exposed=np.array([s.exposed for s in subjects], dtype=bool),
+        outcomes=np.array([s.outcomes for s in subjects], dtype=np.int8).reshape(len(subjects), n_visits),
         n_visits=n_visits,
         dropped_incomplete=0,
         exposed_label=exposed_label,
@@ -216,6 +230,206 @@ class TestParseLong:
     def test_bad_header(self):
         with pytest.raises(ParseError, match="header must be"):
             parse_long_dataset(io.StringIO("id,visit,y\n"), exposed_value="150")
+
+
+class TestVisitBound:
+    def test_stray_visit_is_rejected_quickly(self):
+        text = "id,exposure,visit,y\na,E,1,1\na,E,2,0\nb,N,1,0\nb,N,100000000,1\n"
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="visit 100000000 exceeds the number of observation rows") as exc:
+            parse_long_dataset(io.StringIO(text), exposed_value="E")
+        assert time.perf_counter() - start < 2.0
+        assert exc.value.line == 5
+
+    def test_row_faults_come_first(self):
+        text = "id,exposure,visit,y\na,E,100000000,1\na,E,1,2\nb,N,1,0\n"
+        with pytest.raises(ParseError, match="outcome value") as exc:
+            parse_long_dataset(io.StringIO(text), exposed_value="E")
+        assert exc.value.line == 3
+
+
+# Random wide and long texts: mostly well-formed rows, plus blank and
+# whitespace-only rows, padded and quoted fields (an embedded newline
+# makes line numbers run ahead of row numbers) and injected faults.
+_IDS = ["s1", "s2", "s3", "a,b", "c\nd", "e f"]
+_BLANKS = ["", "   ", " , ,  , ", ",,,", ","]
+_EXPOSED_VALUES = ["E", "E", "E", "N", "Q"]
+
+
+def _pad(draw, token):
+    return draw(st.sampled_from([token, token, token, f" {token}", f"{token} "]))
+
+
+def _render(header, records):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for record in records:
+        if isinstance(record, str):
+            out.write(record + "\n")
+        else:
+            writer.writerow(record)
+    return out.getvalue()
+
+
+def _insert(draw, records, extras):
+    for extra in extras:
+        records.insert(draw(st.integers(0, len(records))), extra)
+    return records
+
+
+@st.composite
+def long_texts(draw):
+    labels = {sid: draw(st.sampled_from(["E", "N"])) for sid in _IDS}
+    n_visits = draw(st.integers(2, 3))
+    keys = []
+    for sid in draw(st.lists(st.sampled_from(_IDS), unique=True, min_size=1, max_size=5)):
+        visits = range(1, n_visits + 1)
+        if draw(st.integers(0, 3)) == 0:  # most subjects have every visit
+            visits = draw(st.lists(st.sampled_from(visits), unique=True))
+        keys.extend((sid, visit) for visit in visits)
+    records = [
+        [_pad(draw, sid), _pad(draw, labels[sid]), _pad(draw, str(visit)),
+         _pad(draw, draw(st.sampled_from(["0", "1", "0", "1", ""])))]
+        for sid, visit in draw(st.permutations(keys))
+    ]
+    n_faults = draw(st.sampled_from([0, 0, 1, 1, 2]))
+    faults = []
+    for _ in range(n_faults):
+        sid = draw(st.sampled_from(_IDS))
+        row = [sid, labels[sid], draw(st.sampled_from(["1", "2", "3"])), "1"]
+        kind = draw(st.sampled_from([
+            "fields", "visit", "visit_low", "outcome", "third", "conflict", "duplicate", "big", "huge",
+        ]))
+        if kind == "fields":
+            row = row[:3] if draw(st.booleans()) else row + ["0"]
+        elif kind == "visit":
+            row[2] = draw(st.sampled_from(["x", "", "1.5", " 2x"]))
+        elif kind == "visit_low":
+            row[2] = draw(st.sampled_from(["0", "-1", " -7 "]))
+        elif kind == "outcome":
+            row[3] = draw(st.sampled_from(["2", "yes", " -1 "]))
+        elif kind == "third":
+            row[1] = "Z"
+        elif kind == "conflict":
+            row[1] = "N" if labels[sid] == "E" else "E"
+        elif kind == "duplicate" and records:
+            row = list(draw(st.sampled_from(records)))
+        elif kind == "big":
+            row[2] = "50"
+        elif kind == "huge":
+            row[2] = draw(st.sampled_from(["99999999999999999999999", "4611686018427387904"]))
+        faults.append(row)
+    blanks = draw(st.lists(st.sampled_from(_BLANKS), max_size=3))
+    text = _render(["id", "exposure", "visit", "y"], _insert(draw, _insert(draw, records, faults), blanks))
+    return draw(st.sampled_from(["", "\n", "  \n"])) + text
+
+
+@st.composite
+def wide_texts(draw):
+    n_visits = draw(st.integers(2, 3))
+    records = []
+    for _ in range(draw(st.integers(0, 8))):
+        label = draw(st.sampled_from(["E", "N", "N"]))
+        outcomes = [_pad(draw, draw(st.sampled_from(["0", "1", "1", "0", ""]))) for _ in range(n_visits)]
+        records.append([_pad(draw, draw(st.sampled_from(_IDS))), _pad(draw, label), *outcomes])
+    faults = []
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+        row = ["f", "E"] + ["1"] * n_visits
+        kind = draw(st.sampled_from(["fields", "outcome", "third"]))
+        if kind == "fields":
+            row = row[:-1] if draw(st.booleans()) else row + ["0"]
+        elif kind == "outcome":
+            row[draw(st.integers(2, n_visits + 1))] = draw(st.sampled_from(["2", "x", " 11"]))
+        else:
+            row[1] = "Z"
+        faults.append(row)
+    blanks = draw(st.lists(st.sampled_from(_BLANKS), max_size=3))
+    header = ["id", "exposure"] + [f"y{v}" for v in range(1, n_visits + 1)]
+    return _render(header, _insert(draw, _insert(draw, records, faults), blanks))
+
+
+def _parsed(parse, text, exposed_value):
+    try:
+        ds = parse(io.StringIO(text), exposed_value)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line)
+    if isinstance(ds, tuple):
+        return ds
+    return (ds.ids, ds.exposed.tolist(), ds.outcomes.tolist(), ds.n_visits,
+            ds.dropped_incomplete, ds.exposed_label, ds.unexposed_label)
+
+
+class TestParsersAgainstLoopOracles:
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, ingest._BLOCK_ROWS])
+    @given(text=long_texts(), exposed_value=st.sampled_from(_EXPOSED_VALUES))
+    @settings(max_examples=300, deadline=None)
+    def test_long(self, block_rows, text, exposed_value):
+        want = _parsed(loop_parse_long, text, exposed_value)
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+            assert _parsed(parse_long_dataset, text, exposed_value) == want
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, ingest._BLOCK_ROWS])
+    @given(text=wide_texts(), exposed_value=st.sampled_from(_EXPOSED_VALUES))
+    @settings(max_examples=300, deadline=None)
+    def test_wide(self, block_rows, text, exposed_value):
+        want = _parsed(loop_parse_wide, text, exposed_value)
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+            assert _parsed(parse_dataset, text, exposed_value) == want
+
+
+@st.composite
+def columnar_datasets(draw):
+    n_visits = draw(st.integers(2, 5))
+    n = draw(st.integers(0, 40))
+    exposed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    outcomes = draw(st.lists(st.lists(st.integers(0, 1), min_size=n_visits, max_size=n_visits),
+                             min_size=n, max_size=n))
+    return LongitudinalDataset(
+        ids=tuple(f"s{i}" for i in range(n)),
+        exposed=np.array(exposed, dtype=bool),
+        outcomes=np.array(outcomes, dtype=np.int8).reshape(n, n_visits),
+        n_visits=n_visits, dropped_incomplete=0, exposed_label="E", unexposed_label="N",
+    )
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+class TestColumnarAnalysis:
+    @given(columnar_datasets())
+    @settings(max_examples=200, deadline=None)
+    def test_tables_and_risks_match_loop_oracles(self, ds):
+        exposed, outcomes = ds.exposed.tolist(), ds.outcomes.tolist()
+        for j in range(2, ds.n_visits + 1):
+            for k in range(1, j):
+                tables = build_conditional_tables(ds, j, k)
+                got = [[t.a, t.b, t.c, t.d] for t in (tables.stratum1, tables.stratum0)]
+                assert got == loop_conditional_tables(exposed, outcomes, j, k)
+                assert all(type(count) is int for row in got for count in row)
+        want = loop_visit_risks(exposed, outcomes, ds.n_visits)
+        got = visit_risks(ds)
+        assert [(v, _bits(e), _bits(ne)) for v, e, ne in got] == [
+            (v, _bits(e), _bits(ne)) for v, e, ne in want
+        ]
+
+    def test_columns_are_read_only(self):
+        ds = parse_dataset(io.StringIO(WIDE_TEXT), exposed_value="150")
+        with pytest.raises(ValueError):
+            ds.outcomes[0, 0] = 0
+        with pytest.raises(ValueError):
+            ds.exposed[0] = False
+
+    def test_subjects_round_trip(self):
+        ds = parse_long_dataset(io.StringIO(LONG_TEXT), exposed_value="150")
+        subjects = ds.subjects
+        assert all(isinstance(s, Subject) for s in subjects)
+        again = dataset_from_subjects(subjects, n_visits=ds.n_visits)
+        assert again.ids == ds.ids == ("s1", "s2", "s3")
+        assert again.exposed.tolist() == ds.exposed.tolist()
+        assert again.outcomes.tolist() == ds.outcomes.tolist()
+        assert subjects[0] == Subject("s1", True, (1, 0, 1))
 
 
 class TestBuildTables:
