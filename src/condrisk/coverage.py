@@ -16,6 +16,7 @@ least-recently-used cache for the length of a grid.
 
 import itertools
 import math
+import os
 import threading
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
@@ -332,10 +333,11 @@ def run_grid(grid: GridSpec, prune_epsilon: float | None = None, threads: int = 
     _check_prune(prune)
     items = [(point, grid.stratum, grid.level, prune) for point in grid.points()]
     try:
-        if threads <= 1 or len(items) < 2:
+        workers = min(threads, len(items), os.cpu_count() or 1)
+        if workers <= 1:
             return [_evaluate_point(item) for item in items]
-        chunk = max(1, len(items) // (threads * 8))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        chunk = max(1, len(items) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_evaluate_point, items, chunksize=chunk))
     finally:
         _clear_margins()

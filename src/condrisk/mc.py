@@ -9,13 +9,28 @@ which is the sampling design the exact engine cannot enumerate.
 Reproducibility discipline (bit-exact, platform-independent): streams
 come from the counter-based Philox generator, one independent substream
 per replication with 128-bit key (seed << 64) | rep.  Within one
-replication the exposed group is drawn first; in cohort mode each group
-consumes two uniform vectors of length n (earlier outcomes, then later
-outcomes given earlier).  Counts are order-independent, so any
-parallel schedule yields identical estimates.
+replication the exposed group is drawn first: in fixed_margin mode a
+replication is two binomial draws; in cohort mode each group consumes
+two uniform vectors of length n (earlier outcomes, then later outcomes
+given earlier), so a replication is 2 n_e + 2 n_ne uniforms.  Counts are
+order-independent, so any parallel schedule yields identical estimates.
+
+Layout: one Philox and one Generator serve a whole range of
+replications.  Before each replication the public state setter puts the
+generator back where a fresh Philox(key=(seed << 64) | rep) starts: key
+[rep, seed], counter 0, an empty buffer.  Replications go in blocks.  In
+cohort mode each replication's uniforms fill one row of a buffer of at
+most about _BUFFER_DOUBLES doubles, and the block's stratum tables are
+counted with array operations; a replication wider than the buffer is
+read in column chunks, seeking inside its substream.  Coverage is decided
+for a whole block with measures.log_wald_bounds, and a bound within a
+relative _NEAR of the true ratio is decided again by the scalar interval,
+so the counts equal those of a loop over single replications.  Memory is
+O(block) whatever the number of replications.
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -23,7 +38,13 @@ import numpy as np
 
 from ._version import __version__
 from .errors import DomainError, UndefinedMeasureError
-from .measures import StratifiedTables, StratumTable, stratum_rr_estimate
+from .measures import (
+    StratifiedTables,
+    StratumTable,
+    log_wald_bounds,
+    stratum_rr_estimate,
+    z_quantile,
+)
 from .model import BernoulliPairParams, cond_prob_given0, cond_prob_given1
 
 ORACLE_CSV_HEADER = (
@@ -32,6 +53,15 @@ ORACLE_CSV_HEADER = (
 )
 
 MARGIN_MODELS = ("fixed_margin", "cohort")
+
+# A block of replications holds at most about this many doubles (8 MB):
+# its uniforms plus _INTERVAL_DOUBLES per replication for the arrays that
+# decide coverage.
+_BUFFER_DOUBLES = 1 << 20
+_INTERVAL_DOUBLES = 16
+# Relative distance to true_rr within which a bound is checked by the
+# scalar interval.
+_NEAR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -72,34 +102,130 @@ def equal_marginal_spec(
     )
 
 
-def _rep_rng(seed: int, rep: int) -> np.random.Generator:
-    """Independent substream for one replication."""
-    return np.random.Generator(np.random.Philox(key=(seed << 64) | rep))
+class _Substreams:
+    """One Philox and one Generator that can start any replication's substream.
+
+    seek(rep, pos) puts the generator in the state a fresh
+    Philox(key=(seed << 64) | rep) is in after pos 64-bit draws: key
+    [rep, seed], counter pos // 4, an empty buffer, and pos % 4 draws
+    discarded.  Each uniform and each binomial trial consumes whole 64-bit
+    draws, so from there on every draw equals the fresh generator's.
+    """
+
+    def __init__(self, seed: int):
+        self.bit_generator = np.random.Philox(key=seed << 64)
+        self.generator = np.random.Generator(self.bit_generator)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [0, seed]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def seek(self, rep: int, pos: int = 0) -> np.random.Generator:
+        stream = self._state["state"]
+        stream["key"][0] = rep
+        stream["counter"][0] = pos >> 2
+        self.bit_generator.state = self._state
+        if pos & 3:
+            self.bit_generator.random_raw(pos & 3)
+        return self.generator
 
 
-def _draw_group(rng: np.random.Generator, n: int, params: BernoulliPairParams):
-    """Per-subject (earlier, later) outcomes: earlier first, then conditional."""
-    p_given1 = cond_prob_given1(params)
-    p_given0 = cond_prob_given0(params)
-    y_earlier = rng.random(n) < params.pi_k
-    p_later = np.where(y_earlier, p_given1, p_given0)
-    y_later = rng.random(n) < p_later
-    n11 = int(np.count_nonzero(y_earlier & y_later))
-    n10 = int(np.count_nonzero(y_earlier & ~y_later))
-    n01 = int(np.count_nonzero(~y_earlier & y_later))
-    n00 = n - n11 - n10 - n01
-    return n11, n10, n01, n00
+def _draw_rows(streams: _Substreams, rep_lo: int, out: np.ndarray) -> None:
+    """Row i of out: the first out.shape[1] uniforms of replication rep_lo + i."""
+    for i, row in enumerate(out):
+        streams.seek(rep_lo + i).random(out=row)
+
+
+def _groups(spec: CohortSpec):
+    """(offset of the group's uniforms in a replication, group size, parameters)."""
+    return (0, spec.n_e, spec.params_e), (2 * spec.n_e, spec.n_ne, spec.params_ne)
+
+
+def _later_risk(params: BernoulliPairParams, stratum: int) -> float:
+    """Pr(later outcome | earlier outcome = stratum).
+
+    Both conditional risks are computed, since drawing a group's later
+    outcomes needs both: an earlier marginal of 0 or 1 is a DomainError
+    in either stratum.
+    """
+    given1, given0 = cond_prob_given1(params), cond_prob_given0(params)
+    return given1 if stratum == 1 else given0
+
+
+def _stratum_cells(u_earlier, u_later, pi_k: float, p_later: float, stratum: int):
+    """Per row: (members of the stratum, of them with the later outcome).
+
+    u_earlier and u_later are one group's earlier and later uniforms, a
+    row per replication; a subject's earlier outcome is u_earlier < pi_k
+    and, in the stratum, its later outcome is u_later < p_later.
+    """
+    earlier = u_earlier < pi_k
+    n_earlier = np.count_nonzero(earlier, axis=1)
+    if stratum == 1:
+        return n_earlier, np.count_nonzero(earlier & (u_later < p_later), axis=1)
+    return u_earlier.shape[1] - n_earlier, np.count_nonzero(~earlier & (u_later < p_later), axis=1)
+
+
+def _cohort_tables(u: np.ndarray, spec: CohortSpec, stratum: int):
+    """(a, n_e, c, n_ne) of the stratum table, per row of replication uniforms."""
+    (n_e, a), (n_ne, c) = (
+        _stratum_cells(u[:, base:base + n], u[:, base + n:base + 2 * n],
+                       params.pi_k, _later_risk(params, stratum), stratum)
+        for base, n, params in _groups(spec)
+    )
+    return a, n_e, c, n_ne
 
 
 def simulate_cohort(spec: CohortSpec, rep: int = 0) -> StratifiedTables:
     """Draw one replication of the two cohorts and stratify by the earlier outcome."""
-    rng = _rep_rng(spec.seed, rep)
-    e11, e10, e01, e00 = _draw_group(rng, spec.n_e, spec.params_e)
-    u11, u10, u01, u00 = _draw_group(rng, spec.n_ne, spec.params_ne)
-    return StratifiedTables(
-        stratum1=StratumTable(a=e11, b=e10, c=u11, d=u10),
-        stratum0=StratumTable(a=e01, b=e00, c=u01, d=u00),
-    )
+    uniforms = np.empty((1, 2 * (spec.n_e + spec.n_ne)))
+    _draw_rows(_Substreams(spec.seed), rep, uniforms)
+    tables = []
+    for stratum in (1, 0):
+        a, n_e, c, n_ne = (int(x[0]) for x in _cohort_tables(uniforms, spec, stratum))
+        tables.append(StratumTable(a=a, b=n_e - a, c=c, d=n_ne - c))
+    return StratifiedTables(*tables)
+
+
+def _chunked_cohort_tables(streams: _Substreams, spec: CohortSpec, stratum: int,
+                           rep: int, buffer_size: int):
+    """_cohort_tables for one replication wider than the buffer.
+
+    Each group is read in column chunks of at most buffer_size // 2
+    subjects, seeking to a chunk's earlier and then its later uniforms.
+    """
+    step = max(1, buffer_size // 2)
+    buffer = np.empty((2, step))
+    cells = []
+    for base, n, params in _groups(spec):
+        p_later = _later_risk(params, stratum)
+        members = later = 0
+        for i in range(0, n, step):
+            k = min(step, n - i)
+            streams.seek(rep, base + i).random(out=buffer[0, :k])
+            streams.seek(rep, base + n + i).random(out=buffer[1, :k])
+            m, x = _stratum_cells(buffer[:1, :k], buffer[1:, :k], params.pi_k, p_later, stratum)
+            members += int(m[0])
+            later += int(x[0])
+        cells.append((members, later))
+    (n_e, a), (n_ne, c) = cells
+    return np.array([a]), n_e, np.array([c]), n_ne
+
+
+def _fixed_margin_tables(streams: _Substreams, spec: CohortSpec, p_e: float, p_ne: float,
+                         rep_lo: int, rep_hi: int):
+    """(a, n_e, c, n_ne): two binomial draws per replication, exposed first."""
+    a = np.empty(rep_hi - rep_lo, dtype=np.int64)
+    c = np.empty(rep_hi - rep_lo, dtype=np.int64)
+    for i, rep in enumerate(range(rep_lo, rep_hi)):
+        generator = streams.seek(rep)
+        a[i] = generator.binomial(spec.n_e, p_e)
+        c[i] = generator.binomial(spec.n_ne, p_ne)
+    return a, spec.n_e, c, spec.n_ne
 
 
 def _stratum_true_risks(spec: CohortSpec, stratum: int) -> tuple[float, float, float]:
@@ -121,27 +247,52 @@ def _covers(a: int, n_e: int, c: int, n_ne: int, level: float, true_rr: float) -
     return est.ci_lower <= true_rr <= est.ci_upper
 
 
+def _decide(a, n_e, c, n_ne, level: float, true_rr: float) -> tuple[int, int]:
+    """(covered, nondegenerate) over a block of stratum tables.
+
+    NumPy's exp may differ from math's in the last bit, so a table whose
+    bound lies within a relative _NEAR of true_rr is decided again by
+    _covers, the scalar interval: the counts are exactly the scalar ones.
+    """
+    a, n_e, c, n_ne = np.broadcast_arrays(a, n_e, c, n_ne)
+    keep = (a >= 1) & (a < n_e) & (c >= 1) & (c < n_ne)
+    a, n_e, c, n_ne = a[keep], n_e[keep], c[keep], n_ne[keep]
+    _, _, lower, upper = log_wald_bounds(a, n_e, c, n_ne, z_quantile(level), xp=np)
+    covers = (lower <= true_rr) & (true_rr <= upper)
+    near = _NEAR * abs(true_rr)
+    for i in np.flatnonzero((np.abs(lower - true_rr) <= near) | (np.abs(upper - true_rr) <= near)):
+        covers[i] = _covers(int(a[i]), int(n_e[i]), int(c[i]), int(n_ne[i]), level, true_rr)
+    return int(np.count_nonzero(covers)), int(a.size)
+
+
 def _count_reps(spec: CohortSpec, stratum: int, level: float, margin_model: str,
-                rep_lo: int, rep_hi: int) -> tuple[int, int]:
-    """(covered, nondegenerate) counts over replications [rep_lo, rep_hi)."""
+                rep_lo: int, rep_hi: int, buffer_size: int = _BUFFER_DOUBLES) -> tuple[int, int]:
+    """(covered, nondegenerate) counts over replications [rep_lo, rep_hi).
+
+    Replications go in blocks whose uniforms and interval arrays take at
+    most about buffer_size doubles; a cohort replication wider than that
+    is read in column chunks.  The counts do not depend on buffer_size.
+    """
     p_e, p_ne, true_rr = _stratum_true_risks(spec, stratum)
+    width = 0 if margin_model == "fixed_margin" else 2 * (spec.n_e + spec.n_ne)
+    block = max(1, min(rep_hi - rep_lo, buffer_size // (width + _INTERVAL_DOUBLES)))
+    uniforms = np.empty((block, width)) if 0 < width <= buffer_size else None
+    streams = _Substreams(spec.seed)
     covered = 0
     nondegenerate = 0
-    for rep in range(rep_lo, rep_hi):
-        if margin_model == "fixed_margin":
-            rng = _rep_rng(spec.seed, rep)
-            n_e, n_ne = spec.n_e, spec.n_ne
-            a = int(rng.binomial(n_e, p_e))
-            c = int(rng.binomial(n_ne, p_ne))
+    for lo in range(rep_lo, rep_hi, block):
+        hi = min(lo + block, rep_hi)
+        if width == 0:
+            tables = _fixed_margin_tables(streams, spec, p_e, p_ne, lo, hi)
+        elif uniforms is None:
+            tables = _chunked_cohort_tables(streams, spec, stratum, lo, buffer_size)
         else:
-            tables = simulate_cohort(spec, rep)
-            t = tables.stratum1 if stratum == 1 else tables.stratum0
-            a, c = t.a, t.c
-            n_e, n_ne = t.n_exposed, t.n_unexposed
-        if 1 <= a <= n_e - 1 and 1 <= c <= n_ne - 1:
-            nondegenerate += 1
-            if _covers(a, n_e, c, n_ne, level, true_rr):
-                covered += 1
+            rows = uniforms[:hi - lo]
+            _draw_rows(streams, lo, rows)
+            tables = _cohort_tables(rows, spec, stratum)
+        cov, nd = _decide(*tables, level, true_rr)
+        covered += cov
+        nondegenerate += nd
     return covered, nondegenerate
 
 
@@ -184,18 +335,18 @@ def mc_coverage(
         raise DomainError(f"confidence level must be in (0, 1), got {level!r}")
     _, _, true_rr = _stratum_true_risks(spec, stratum)
     reps = spec.reps
-    if threads <= 1 or reps < 2:
+    # Splitting into min(threads, reps) ranges leaves the same non-empty
+    # ranges as splitting into threads ranges.
+    parts = min(threads, reps)
+    bounds = [reps * i // parts for i in range(parts + 1)]
+    jobs = [(spec, stratum, level, margin_model, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         covered, nondegenerate = _count_reps(spec, stratum, level, margin_model, 0, reps)
     else:
-        bounds = [reps * i // threads for i in range(threads + 1)]
-        jobs = [
-            (spec, stratum, level, margin_model, lo, hi)
-            for lo, hi in zip(bounds, bounds[1:])
-            if lo < hi
-        ]
         covered = 0
         nondegenerate = 0
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for cov, nd in pool.map(_count_reps_args, jobs):
                 covered += cov
                 nondegenerate += nd

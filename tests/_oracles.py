@@ -4,9 +4,10 @@ Everything here deliberately avoids the package's own numeric kernels:
 probabilities come from scipy, sums from math.fsum, correlations from
 numpy/statistics, so agreement with the package is a real cross-check.
 The loop oracles keep the entry-by-entry scans that the package's
-vectorised neumaier_sum and prune_window must reproduce bit for bit, and
-the row-by-row parsers, table count and risks that the columnar ingest
-must reproduce exactly.
+vectorised neumaier_sum and prune_window must reproduce bit for bit, the
+row-by-row parsers, table count and risks that the columnar ingest must
+reproduce exactly, and the replication-by-replication Monte-Carlo count
+that the batched oracle must reproduce exactly.
 """
 
 import csv
@@ -18,6 +19,7 @@ from scipy.stats import binom as _sbinom
 from condrisk.coverage import true_conditional_risks
 from condrisk.errors import ParseError
 from condrisk.measures import StratifiedTables, StratumTable, stratum_rr_estimate
+from condrisk.model import cond_prob_given0, cond_prob_given1
 
 
 def brute_coverage(scenario):
@@ -286,3 +288,62 @@ def loop_visit_risks(exposed, outcomes, n_visits):
         risk_ne = yes_ne / n_ne if n_ne else math.nan
         rows.append((visit, risk_e, risk_ne))
     return rows
+
+
+# Replication-by-replication Monte-Carlo oracle: a fresh Philox per
+# replication, a scalar interval per replication.
+
+def loop_rep_rng(seed, rep):
+    """The substream of one replication: Philox keyed (seed << 64) | rep."""
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | rep))
+
+
+def _loop_draw_group(rng, n, params):
+    """(n11, n10, n01, n00) of one group: earlier outcomes first, then later given earlier."""
+    p_given1 = cond_prob_given1(params)
+    p_given0 = cond_prob_given0(params)
+    y_earlier = rng.random(n) < params.pi_k
+    p_later = np.where(y_earlier, p_given1, p_given0)
+    y_later = rng.random(n) < p_later
+    n11 = int(np.count_nonzero(y_earlier & y_later))
+    n10 = int(np.count_nonzero(y_earlier & ~y_later))
+    n01 = int(np.count_nonzero(~y_earlier & y_later))
+    return n11, n10, n01, n - n11 - n10 - n01
+
+
+def loop_simulate_cohort(spec, rep):
+    """Both stratum tables of one cohort replication, drawn from a fresh Philox."""
+    rng = loop_rep_rng(spec.seed, rep)
+    e11, e10, e01, e00 = _loop_draw_group(rng, spec.n_e, spec.params_e)
+    u11, u10, u01, u00 = _loop_draw_group(rng, spec.n_ne, spec.params_ne)
+    return StratifiedTables(
+        stratum1=StratumTable(a=e11, b=e10, c=u11, d=u10),
+        stratum0=StratumTable(a=e01, b=e00, c=u01, d=u00),
+    )
+
+
+def loop_count_reps(spec, stratum, level, margin_model, rep_lo, rep_hi):
+    """(covered, nondegenerate) over replications [rep_lo, rep_hi), one at a time."""
+    cond_prob = cond_prob_given1 if stratum == 1 else cond_prob_given0
+    p_e = cond_prob(spec.params_e)
+    p_ne = cond_prob(spec.params_ne)
+    true_rr = p_e / p_ne
+    covered = 0
+    nondegenerate = 0
+    for rep in range(rep_lo, rep_hi):
+        if margin_model == "fixed_margin":
+            rng = loop_rep_rng(spec.seed, rep)
+            n_e, n_ne = spec.n_e, spec.n_ne
+            a = int(rng.binomial(n_e, p_e))
+            c = int(rng.binomial(n_ne, p_ne))
+        else:
+            tables = loop_simulate_cohort(spec, rep)
+            t = tables.stratum1 if stratum == 1 else tables.stratum0
+            a, c = t.a, t.c
+            n_e, n_ne = t.n_exposed, t.n_unexposed
+        if 1 <= a <= n_e - 1 and 1 <= c <= n_ne - 1:
+            nondegenerate += 1
+            est = stratum_rr_estimate(a, n_e, c, n_ne, level)
+            if est.ci_lower <= true_rr <= est.ci_upper:
+                covered += 1
+    return covered, nondegenerate

@@ -42,3 +42,33 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_sep("=", "acceptance criteria")
     for _, line in sorted(lines):
         terminalreporter.write_line(line)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in-process.
+
+    It starts no process, so a test can ask for any worker count.
+    """
+
+    def __init__(self, created, max_workers=None):
+        created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def recording_pool():
+    """(pool class, list of the max_workers each pool was created with)."""
+    created = []
+
+    def pool(max_workers=None):
+        return RecordingPool(created, max_workers)
+
+    return pool, created

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -325,6 +326,21 @@ class TestGrids:
         serial = run_grid(grid, threads=1)
         parallel = run_grid(grid, threads=3)
         assert serial == parallel
+
+    def test_workers_capped_by_points_and_cpus(self, monkeypatch, recording_pool):
+        pool, created = recording_pool
+        monkeypatch.setattr(coverage, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        grid = self.small_grid()
+        serial = run_grid(grid)
+        assert run_grid(grid, threads=100000) == serial
+        assert run_grid(grid, threads=3) == serial
+        two_points = dataclasses.replace(grid, n_e_axis=(30,), rho_e_axis=(0.1,))
+        assert run_grid(two_points, threads=100000) == run_grid(two_points)
+        for cpus in (None, 1):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert run_grid(grid, threads=100000) == serial
+        assert created == [4, 3, 2]
 
     def test_inadmissible_points_are_flagged_not_fatal(self):
         grid = GridSpec((20,), (20,), (0.5,), (0.5,), (1.0, 0.5), (0.1,), stratum=0)

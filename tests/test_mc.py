@@ -2,10 +2,13 @@
 
 import io
 import math
+import os
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from condrisk import __version__
+from condrisk import __version__, mc
 from condrisk.coverage import Scenario, exact_coverage
 from condrisk.errors import DomainError
 from condrisk.mc import (
@@ -18,8 +21,10 @@ from condrisk.mc import (
     simulate_cohort,
     write_oracle_csv,
 )
-from condrisk.measures import phi_correlations
-from condrisk.model import BernoulliPairParams
+from condrisk.measures import log_wald_bounds, phi_correlations, stratum_rr_estimate, z_quantile
+from condrisk.model import BernoulliPairParams, cond_prob_given0, cond_prob_given1, rho_bounds
+
+from _oracles import loop_count_reps, loop_rep_rng, loop_simulate_cohort
 
 
 def spec(n_e=100, n_ne=100, pi_e=0.5, pi_ne=0.5, rho_e=0.1, rho_ne=0.1, seed=7, reps=200):
@@ -189,3 +194,136 @@ class TestOracleCsv:
         assert fields[9:11] == ["200", "12"]
         assert float(fields[11]) == pytest.approx(rec.estimate, rel=1e-11)
         assert float(fields[12]) == pytest.approx(rec.std_error, rel=1e-11)
+
+
+SEEDS = (0, 1, 2**64 - 1)
+REPS = (0, 1, 4095, 2**40)
+
+
+class TestSubstreams:
+    """A reset Philox draws what a fresh Philox(key=(seed << 64) | rep) draws."""
+
+    def test_random_and_binomial_match_fresh_generator(self):
+        for seed in SEEDS:
+            streams = mc._Substreams(seed)
+            for rep in REPS:
+                fresh = loop_rep_rng(seed, rep)
+                reset = streams.seek(rep)
+                assert np.array_equal(reset.random(11), fresh.random(11))
+                assert reset.binomial(500, 0.3) == fresh.binomial(500, 0.3)
+                assert reset.binomial(40, 0.05) == fresh.binomial(40, 0.05)
+                assert np.array_equal(reset.random(5), fresh.random(5))
+                # leave a half-used buffer and a cached 32-bit word behind
+                reset.integers(0, 7, size=3, dtype=np.int32)
+
+    def test_seek_to_a_position_inside_the_stream(self):
+        for seed in SEEDS:
+            streams = mc._Substreams(seed)
+            for rep in REPS:
+                whole = loop_rep_rng(seed, rep).random(16)
+                for pos in range(10):
+                    assert np.array_equal(streams.seek(rep, pos).random(16 - pos), whole[pos:])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_simulate_cohort_is_the_loop_draw(self, seed):
+        s = spec(n_e=37, n_ne=23, pi_e=0.3, pi_ne=0.6, rho_e=0.4, rho_ne=-0.2, seed=seed)
+        for rep in REPS:
+            assert simulate_cohort(s, rep) == loop_simulate_cohort(s, rep)
+
+    @pytest.mark.parametrize("stratum", [0, 1])
+    def test_simulate_cohort_equals_its_row_of_a_block(self, stratum):
+        s = spec(n_e=37, n_ne=23, pi_e=0.3, pi_ne=0.6, rho_e=0.4, rho_ne=-0.2, seed=2**64 - 1)
+        rep_lo = 2**40 - 3
+        rows = np.empty((7, 2 * (37 + 23)))
+        mc._draw_rows(mc._Substreams(s.seed), rep_lo, rows)
+        a, n_e, c, n_ne = mc._cohort_tables(rows, s, stratum)
+        for i in range(7):
+            tables = simulate_cohort(s, rep_lo + i)
+            t = tables.stratum1 if stratum == 1 else tables.stratum0
+            assert (t.a, t.n_exposed, t.c, t.n_unexposed) == (a[i], n_e[i], c[i], n_ne[i])
+
+
+@st.composite
+def oracle_cases(draw):
+    """A scenario, a replication range and a block size for _count_reps."""
+    n_e = draw(st.integers(1, 60))
+    n_ne = draw(st.integers(1, 60))
+    pis, rhos = [], []
+    for _ in range(2):
+        pi = draw(st.floats(0.02, 0.98))
+        lower, upper = rho_bounds(pi, pi)
+        pis.append(pi)
+        rhos.append(lower + (upper - lower) * draw(st.floats(0.0, 1.0)))
+    stratum = draw(st.sampled_from([0, 1]))
+    cond_prob = cond_prob_given1 if stratum == 1 else cond_prob_given0
+    assume(cond_prob(BernoulliPairParams(pis[1], pis[1], rhos[1])) > 0.0)
+    s = equal_marginal_spec(n_e, n_ne, pis[0], pis[1], rhos[0], rhos[1],
+                            seed=draw(st.integers(0, 2**64 - 1)), reps=1)
+    margin_model = draw(st.sampled_from(MARGIN_MODELS))
+    rep_lo = draw(st.sampled_from(REPS) | st.integers(0, 2**40))
+    rep_hi = rep_lo + draw(st.integers(1, 12))
+    width = 0 if margin_model == "fixed_margin" else 2 * (n_e + n_ne)
+    per_rep = width + mc._INTERVAL_DOUBLES
+    # 1, 2 and 3 doubles: cohort replications are read in column chunks;
+    # k * per_rep: blocks of k replications; and the default block.
+    buffer_size = draw(st.sampled_from(
+        [1, 2, 3, per_rep, 2 * per_rep, 3 * per_rep + 1, mc._BUFFER_DOUBLES]))
+    level = draw(st.sampled_from([0.8, 0.95, 0.99]))
+    return s, stratum, level, margin_model, rep_lo, rep_hi, buffer_size
+
+
+class TestBatchedCountsAgainstLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_cases())
+    def test_counts_equal_the_replication_loop(self, case):
+        s, stratum, level, margin_model, rep_lo, rep_hi, buffer_size = case
+        batched = mc._count_reps(s, stratum, level, margin_model, rep_lo, rep_hi, buffer_size)
+        assert batched == loop_count_reps(s, stratum, level, margin_model, rep_lo, rep_hi)
+
+    @pytest.mark.parametrize("margin_model", MARGIN_MODELS)
+    @pytest.mark.parametrize("stratum", [0, 1])
+    def test_many_blocks_and_chunks(self, margin_model, stratum):
+        s = spec(n_e=150, n_ne=90, pi_e=0.3, pi_ne=0.2, rho_e=0.5, rho_ne=0.3, seed=5)
+        expected = loop_count_reps(s, stratum, 0.95, margin_model, 10, 410)
+        for buffer_size in (7, 1000, 5000, mc._BUFFER_DOUBLES):
+            assert mc._count_reps(s, stratum, 0.95, margin_model, 10, 410, buffer_size) == expected
+
+    @pytest.mark.parametrize("level", [0.8, 0.95, 0.99])
+    def test_bounds_at_true_ratio_are_decided_by_the_scalar_interval(self, level):
+        # true_rr set to a scalar bound that the array exp rounds the other way
+        a, c = (x.ravel() for x in np.meshgrid(np.arange(41), np.arange(31), indexing="ij"))
+        inner = (a >= 1) & (a <= 39) & (c >= 1) & (c <= 29)
+        scalar = [stratum_rr_estimate(int(x), 40, int(y), 30, level) for x, y in zip(a[inner], c[inner])]
+        _, _, lower, upper = log_wald_bounds(a[inner], 40, c[inner], 30, z_quantile(level), xp=np)
+        rounded_apart = [
+            bound for e, lo, hi in zip(scalar, lower, upper)
+            for bound, array_bound in ((e.ci_lower, lo), (e.ci_upper, hi)) if bound != array_bound
+        ]
+        assert len(rounded_apart) > 20
+        for true_rr in rounded_apart[:20]:
+            covered = sum(e.ci_lower <= true_rr <= e.ci_upper for e in scalar)
+            assert mc._decide(a, 40, c, 30, level, true_rr) == (covered, 39 * 29)
+
+
+class TestWorkerCap:
+    def test_workers_capped_by_jobs_and_cpus(self, monkeypatch, recording_pool):
+        pool, created = recording_pool
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        s = spec(n_e=20, n_ne=20, reps=30)
+        serial = mc_coverage(s, threads=1)
+        assert mc_coverage(s, threads=100000) == serial
+        assert mc_coverage(s, threads=3) == serial
+        assert mc_coverage(spec(n_e=20, n_ne=20, reps=2), threads=100000) == mc_coverage(
+            spec(n_e=20, n_ne=20, reps=2))
+        assert created == [4, 3, 2]
+
+    def test_one_cpu_or_unknown_runs_in_process(self, monkeypatch, recording_pool):
+        pool, created = recording_pool
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", pool)
+        s = spec(n_e=20, n_ne=20, reps=30)
+        serial = mc_coverage(s, margin_model="cohort", threads=1)
+        for cpus in (None, 1):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert mc_coverage(s, margin_model="cohort", threads=100000) == serial
+        assert created == []
