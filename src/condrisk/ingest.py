@@ -23,8 +23,6 @@ estimable" entries, never a crash.
 """
 
 import csv
-import functools
-import gc
 import math
 import os
 from dataclasses import dataclass
@@ -236,26 +234,6 @@ def parse_dataset(source, exposed_value: str) -> LongitudinalDataset:
         return _parse_wide(handle, exposed_value)
 
 
-def _gc_paused(parse):
-    """Run parse with the cyclic garbage collector paused.
-
-    Every csv row is a new tracked list, so a parse would otherwise start
-    many collections that find no cycle.  The previous state comes back
-    when parse returns or raises.
-    """
-    @functools.wraps(parse)
-    def paused(*args):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return parse(*args)
-        finally:
-            if enabled:
-                gc.enable()
-    return paused
-
-
-@_gc_paused
 def _parse_wide(handle, exposed_value: str) -> LongitudinalDataset:
     reader = csv.reader(handle)
     header = _read_header(reader)
@@ -392,7 +370,6 @@ class _Observations:
             raise ParseError(f"duplicate visit {visit} for subject {sid!r}", line=int(lines[row]))
 
 
-@_gc_paused
 def _parse_long(handle, exposed_value: str) -> LongitudinalDataset:
     reader = csv.reader(handle)
     header = _read_header(reader)

@@ -22,11 +22,11 @@ generator back where a fresh Philox(key=(seed << 64) | rep) starts: key
 cohort mode each replication's uniforms fill one row of a buffer of at
 most about _BUFFER_DOUBLES doubles, and the block's stratum tables are
 counted with array operations; a replication wider than the buffer is
-read in column chunks, seeking inside its substream.  Coverage is decided
-for a whole block with measures.log_wald_bounds, and a bound within a
-relative _NEAR of the true ratio is decided again by the scalar interval,
-so the counts equal those of a loop over single replications.  Memory is
-O(block) whatever the number of replications.
+a block of one row.  Coverage is decided for a whole block with
+measures.log_wald_bounds, and a bound within a relative _NEAR of the true
+ratio is decided again by the scalar interval, so the counts equal those
+of a loop over single replications.  Memory is O(block) whatever the
+number of replications.
 """
 
 import math
@@ -54,9 +54,9 @@ ORACLE_CSV_HEADER = (
 
 MARGIN_MODELS = ("fixed_margin", "cohort")
 
-# A block of replications holds at most about this many doubles (8 MB):
-# its uniforms plus _INTERVAL_DOUBLES per replication for the arrays that
-# decide coverage.
+# A block of replications holds at most about this many doubles (8 MB),
+# or one replication if that is wider: its uniforms plus _INTERVAL_DOUBLES
+# per replication for the arrays that decide coverage.
 _BUFFER_DOUBLES = 1 << 20
 _INTERVAL_DOUBLES = 16
 # Relative distance to true_rr within which a bound is checked by the
@@ -105,11 +105,10 @@ def equal_marginal_spec(
 class _Substreams:
     """One Philox and one Generator that can start any replication's substream.
 
-    seek(rep, pos) puts the generator in the state a fresh
-    Philox(key=(seed << 64) | rep) is in after pos 64-bit draws: key
-    [rep, seed], counter pos // 4, an empty buffer, and pos % 4 draws
-    discarded.  Each uniform and each binomial trial consumes whole 64-bit
-    draws, so from there on every draw equals the fresh generator's.
+    seek(rep) puts the generator in the state a fresh
+    Philox(key=(seed << 64) | rep) starts in: key [rep, seed], counter 0
+    and an empty buffer, so every draw from there equals the fresh
+    generator's.
     """
 
     def __init__(self, seed: int):
@@ -124,13 +123,9 @@ class _Substreams:
             "uinteger": 0,
         }
 
-    def seek(self, rep: int, pos: int = 0) -> np.random.Generator:
-        stream = self._state["state"]
-        stream["key"][0] = rep
-        stream["counter"][0] = pos >> 2
+    def seek(self, rep: int) -> np.random.Generator:
+        self._state["state"]["key"][0] = rep
         self.bit_generator.state = self._state
-        if pos & 3:
-            self.bit_generator.random_raw(pos & 3)
         return self.generator
 
 
@@ -191,31 +186,6 @@ def simulate_cohort(spec: CohortSpec, rep: int = 0) -> StratifiedTables:
     return StratifiedTables(*tables)
 
 
-def _chunked_cohort_tables(streams: _Substreams, spec: CohortSpec, stratum: int,
-                           rep: int, buffer_size: int):
-    """_cohort_tables for one replication wider than the buffer.
-
-    Each group is read in column chunks of at most buffer_size // 2
-    subjects, seeking to a chunk's earlier and then its later uniforms.
-    """
-    step = max(1, buffer_size // 2)
-    buffer = np.empty((2, step))
-    cells = []
-    for base, n, params in _groups(spec):
-        p_later = _later_risk(params, stratum)
-        members = later = 0
-        for i in range(0, n, step):
-            k = min(step, n - i)
-            streams.seek(rep, base + i).random(out=buffer[0, :k])
-            streams.seek(rep, base + n + i).random(out=buffer[1, :k])
-            m, x = _stratum_cells(buffer[:1, :k], buffer[1:, :k], params.pi_k, p_later, stratum)
-            members += int(m[0])
-            later += int(x[0])
-        cells.append((members, later))
-    (n_e, a), (n_ne, c) = cells
-    return np.array([a]), n_e, np.array([c]), n_ne
-
-
 def _fixed_margin_tables(streams: _Substreams, spec: CohortSpec, p_e: float, p_ne: float,
                          rep_lo: int, rep_hi: int):
     """(a, n_e, c, n_ne): two binomial draws per replication, exposed first."""
@@ -266,17 +236,17 @@ def _decide(a, n_e, c, n_ne, level: float, true_rr: float) -> tuple[int, int]:
 
 
 def _count_reps(spec: CohortSpec, stratum: int, level: float, margin_model: str,
-                rep_lo: int, rep_hi: int, buffer_size: int = _BUFFER_DOUBLES) -> tuple[int, int]:
+                rep_lo: int, rep_hi: int) -> tuple[int, int]:
     """(covered, nondegenerate) counts over replications [rep_lo, rep_hi).
 
     Replications go in blocks whose uniforms and interval arrays take at
-    most about buffer_size doubles; a cohort replication wider than that
-    is read in column chunks.  The counts do not depend on buffer_size.
+    most about _BUFFER_DOUBLES doubles, or one replication if that is
+    wider.  The counts do not depend on the block size.
     """
     p_e, p_ne, true_rr = _stratum_true_risks(spec, stratum)
     width = 0 if margin_model == "fixed_margin" else 2 * (spec.n_e + spec.n_ne)
-    block = max(1, min(rep_hi - rep_lo, buffer_size // (width + _INTERVAL_DOUBLES)))
-    uniforms = np.empty((block, width)) if 0 < width <= buffer_size else None
+    block = max(1, min(rep_hi - rep_lo, _BUFFER_DOUBLES // (width + _INTERVAL_DOUBLES)))
+    uniforms = np.empty((block, width))
     streams = _Substreams(spec.seed)
     covered = 0
     nondegenerate = 0
@@ -284,8 +254,6 @@ def _count_reps(spec: CohortSpec, stratum: int, level: float, margin_model: str,
         hi = min(lo + block, rep_hi)
         if width == 0:
             tables = _fixed_margin_tables(streams, spec, p_e, p_ne, lo, hi)
-        elif uniforms is None:
-            tables = _chunked_cohort_tables(streams, spec, stratum, lo, buffer_size)
         else:
             rows = uniforms[:hi - lo]
             _draw_rows(streams, lo, rows)
@@ -336,8 +304,8 @@ def mc_coverage(
     _, _, true_rr = _stratum_true_risks(spec, stratum)
     reps = spec.reps
     # Splitting into min(threads, reps) ranges leaves the same non-empty
-    # ranges as splitting into threads ranges.
-    parts = min(threads, reps)
+    # ranges as splitting into threads ranges; threads below 1 run serially.
+    parts = max(1, min(threads, reps))
     bounds = [reps * i // parts for i in range(parts + 1)]
     jobs = [(spec, stratum, level, margin_model, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     workers = min(threads, len(jobs), os.cpu_count() or 1)

@@ -1,7 +1,6 @@
 """Dataset parsing (wide and long), table building, analysis, writers."""
 
 import csv
-import gc
 import io
 import math
 import struct
@@ -359,32 +358,6 @@ def _parsed(parse, text, exposed_value):
         return ds
     return (ds.ids, ds.exposed.tolist(), ds.outcomes.tolist(), ds.n_visits,
             ds.dropped_incomplete, ds.exposed_label, ds.unexposed_label)
-
-
-class TestGarbageCollectorPause:
-    @pytest.mark.parametrize("parse, text", [(parse_dataset, WIDE_TEXT), (parse_long_dataset, LONG_TEXT)])
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_paused_while_rows_are_read_then_restored(self, monkeypatch, parse, text, enabled):
-        seen = []
-        row_blocks = ingest._row_blocks
-
-        def recording(reader):
-            for block in row_blocks(reader):
-                seen.append(gc.isenabled())
-                yield block
-
-        monkeypatch.setattr(ingest, "_row_blocks", recording)
-        bad = text.replace("s3,150,1,1", "s3,150,x,1") if parse is parse_long_dataset else text + "s4,150,1\n"
-        try:
-            (gc.enable if enabled else gc.disable)()
-            parse(io.StringIO(text), "150")
-            assert gc.isenabled() == enabled
-            with pytest.raises(ParseError):
-                parse(io.StringIO(bad), "150")
-            assert gc.isenabled() == enabled
-        finally:
-            gc.enable()
-        assert seen == [False, False]
 
 
 class TestParsersAgainstLoopOracles:

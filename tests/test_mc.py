@@ -3,6 +3,7 @@
 import io
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -216,14 +217,6 @@ class TestSubstreams:
                 # leave a half-used buffer and a cached 32-bit word behind
                 reset.integers(0, 7, size=3, dtype=np.int32)
 
-    def test_seek_to_a_position_inside_the_stream(self):
-        for seed in SEEDS:
-            streams = mc._Substreams(seed)
-            for rep in REPS:
-                whole = loop_rep_rng(seed, rep).random(16)
-                for pos in range(10):
-                    assert np.array_equal(streams.seek(rep, pos).random(16 - pos), whole[pos:])
-
     @pytest.mark.parametrize("seed", SEEDS)
     def test_simulate_cohort_is_the_loop_draw(self, seed):
         s = spec(n_e=37, n_ne=23, pi_e=0.3, pi_ne=0.6, rho_e=0.4, rho_ne=-0.2, seed=seed)
@@ -264,8 +257,8 @@ def oracle_cases(draw):
     rep_hi = rep_lo + draw(st.integers(1, 12))
     width = 0 if margin_model == "fixed_margin" else 2 * (n_e + n_ne)
     per_rep = width + mc._INTERVAL_DOUBLES
-    # 1, 2 and 3 doubles: cohort replications are read in column chunks;
-    # k * per_rep: blocks of k replications; and the default block.
+    # 1, 2 and 3 doubles: blocks of one replication, narrower than a cohort
+    # replication; k * per_rep: blocks of k replications; and the default.
     buffer_size = draw(st.sampled_from(
         [1, 2, 3, per_rep, 2 * per_rep, 3 * per_rep + 1, mc._BUFFER_DOUBLES]))
     level = draw(st.sampled_from([0.8, 0.95, 0.99]))
@@ -277,16 +270,18 @@ class TestBatchedCountsAgainstLoop:
     @given(oracle_cases())
     def test_counts_equal_the_replication_loop(self, case):
         s, stratum, level, margin_model, rep_lo, rep_hi, buffer_size = case
-        batched = mc._count_reps(s, stratum, level, margin_model, rep_lo, rep_hi, buffer_size)
+        with mock.patch.object(mc, "_BUFFER_DOUBLES", buffer_size):
+            batched = mc._count_reps(s, stratum, level, margin_model, rep_lo, rep_hi)
         assert batched == loop_count_reps(s, stratum, level, margin_model, rep_lo, rep_hi)
 
     @pytest.mark.parametrize("margin_model", MARGIN_MODELS)
     @pytest.mark.parametrize("stratum", [0, 1])
-    def test_many_blocks_and_chunks(self, margin_model, stratum):
+    def test_many_blocks(self, monkeypatch, margin_model, stratum):
         s = spec(n_e=150, n_ne=90, pi_e=0.3, pi_ne=0.2, rho_e=0.5, rho_ne=0.3, seed=5)
         expected = loop_count_reps(s, stratum, 0.95, margin_model, 10, 410)
         for buffer_size in (7, 1000, 5000, mc._BUFFER_DOUBLES):
-            assert mc._count_reps(s, stratum, 0.95, margin_model, 10, 410, buffer_size) == expected
+            monkeypatch.setattr(mc, "_BUFFER_DOUBLES", buffer_size)
+            assert mc._count_reps(s, stratum, 0.95, margin_model, 10, 410) == expected
 
     @pytest.mark.parametrize("level", [0.8, 0.95, 0.99])
     def test_bounds_at_true_ratio_are_decided_by_the_scalar_interval(self, level):
@@ -317,6 +312,16 @@ class TestWorkerCap:
         assert mc_coverage(spec(n_e=20, n_ne=20, reps=2), threads=100000) == mc_coverage(
             spec(n_e=20, n_ne=20, reps=2))
         assert created == [4, 3, 2]
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_run_in_process(self, monkeypatch, recording_pool, threads):
+        pool, created = recording_pool
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", pool)
+        s = spec(n_e=20, n_ne=20, reps=30)
+        assert mc_coverage(s, threads=threads) == mc_coverage(s, threads=1)
+        rec = oracle_record(20, 20, 0.5, 0.5, 0.1, 0.1, 1, 0.95, "cohort", 30, 7, threads=threads)
+        assert rec == oracle_record(20, 20, 0.5, 0.5, 0.1, 0.1, 1, 0.95, "cohort", 30, 7)
+        assert created == []
 
     def test_one_cpu_or_unknown_runs_in_process(self, monkeypatch, recording_pool):
         pool, created = recording_pool
