@@ -8,8 +8,14 @@ command overwrites byte-identical outputs.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
+
+# condrisk makes no BLAS call, so NumPy need not start an OpenBLAS thread
+# pool; set before the first submodule imports NumPy.  A value the user
+# set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import compare as compare_mod
 from . import coverage as coverage_mod

@@ -1,16 +1,25 @@
 """Longitudinal dataset parsing and the full per-visit-pair analysis.
 
 Input is wide (header id,exposure,y1,...,yT: one row per subject) or
-long (header id,exposure,visit,y: one row per observation).  Both
-parsers read the file in blocks of _BLOCK_ROWS rows and check each block
-with array operations; the first offending row raises ParseError with
-its line number, as a row-by-row reader would.  Subjects with any
-missing outcome are dropped and counted (complete-case rule).  A dataset
-holds only complete subjects, as columns: their ids, a read-only
-exposure flag per subject and a read-only subjects x visits int8 outcome
-matrix; Subject records are built only on request.  Parsing holds one
-block of rows, the id table and the outcome matrix, and for a long file
-also a few bytes per observation row.  A long file whose largest visit
+long (header id,exposure,visit,y: one row per observation).  A plain
+file is read as bytes, _BLOCK_BYTES at a time, and split into fields
+with array operations.  Plain means: every byte is printable ASCII other
+than space and '"', or a newline (a carriage return may come just before
+one); no line is empty; every line has the header's number of fields;
+ids and labels are 1 to _NAME_BYTES bytes, visits 1 to _VISIT_DIGITS
+digits and outcomes 0, 1 or empty.  This path raises no ParseError:
+on any other input, or any faulty row, it declines and the csv reader
+parses the input from the start.  That path reads blocks of _BLOCK_ROWS
+rows and checks each block with array operations; the first offending
+row raises ParseError with its line number, as a row-by-row reader
+would.  Both paths end in the same code, so their datasets are equal.
+
+Subjects with any missing outcome are dropped and counted (complete-case
+rule).  A dataset holds only complete subjects, as columns: their ids, a
+read-only exposure flag per subject and a read-only subjects x visits
+int8 outcome matrix; Subject records are built only on request.  Parsing
+holds one block, the outcome codes and a few bytes per row besides the
+row's id (csv path: the id table).  A long file whose largest visit
 exceeds its number of observation rows is rejected, since no subject can
 then have every visit, so parse and analysis work stay linear in the
 input size.
@@ -26,7 +35,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -49,7 +58,10 @@ MEASURES_CSV_HEADER = "j,k,measure,point,ci_lower,ci_upper,rho_E,rho_nonE"
 GROUP_EXPOSED = "E"
 GROUP_UNEXPOSED = "nonE"
 
-_BLOCK_ROWS = 1 << 12  # rows a parser holds at once
+_BLOCK_ROWS = 1 << 12  # rows the csv reader path holds at once
+_BLOCK_BYTES = 1 << 16  # bytes the plain-file path reads at once
+_NAME_BYTES = 64  # longest id or exposure label the plain-file path decodes
+_VISIT_DIGITS = 18  # most digits of a visit it decodes, so every visit fits int64
 _OUTCOME_CODES = {"0": 0, "1": 1, "": 2}
 _EMPTY, _BAD = 2, 3  # outcome codes besides 0 and 1
 # Visits at or above this are coded _VISIT_CAP + the rank of their first
@@ -228,13 +240,272 @@ def parse_dataset(source, exposed_value: str) -> LongitudinalDataset:
     with empty outcome cells are dropped and counted; structurally bad
     rows raise ParseError with the line number.
     """
-    if hasattr(source, "read"):
-        return _parse_wide(source, exposed_value)
-    with open(source, "r", encoding="utf-8", newline="") as handle:
-        return _parse_wide(handle, exposed_value)
+    return _wide_dataset(*_parse(source, _plain_wide, _csv_wide), exposed_value)
 
 
-def _parse_wide(handle, exposed_value: str) -> LongitudinalDataset:
+def parse_long_dataset(source, exposed_value: str) -> LongitudinalDataset:
+    """Parse the long per-observation CSV: header id,exposure,visit,y.
+
+    Visits must be integers 1..T; T is the largest visit in the file,
+    and may not exceed the number of observation rows.  A subject
+    missing any visit (or with an empty y) is dropped and counted.
+    Conflicting exposure labels or duplicate (id, visit) rows raise
+    ParseError.
+    """
+    return _long_dataset(*_parse(source, _plain_long, _csv_long), exposed_value)
+
+
+def _parse(source, plain, fallback):
+    """plain(read) on the input's bytes, or fallback(handle) if it declines.
+
+    A path is opened again for the fallback, and a handle is read again
+    from where the parse started; a handle that cannot seek goes to the
+    fallback at once.
+    """
+    if not hasattr(source, "read"):
+        try:
+            with open(source, "rb") as handle:
+                return plain(handle.read)
+        except _Declined:
+            pass
+        with open(source, "r", encoding="utf-8", newline="") as handle:
+            return fallback(handle)
+    if source.seekable():
+        start = source.tell()
+        try:
+            return plain(lambda size: _ascii(source.read(size)))
+        except _Declined:
+            source.seek(start)
+    return fallback(source)
+
+
+def _wide_dataset(ids, labels: dict, label: np.ndarray, y: np.ndarray, exposed_value: str) -> LongitudinalDataset:
+    """The dataset of a wide file's rows: id, exposure label code and outcome codes of each.
+
+    labels maps each exposure label to its code, in first-seen order.
+    """
+    complete = ~(y == _EMPTY).any(axis=1)
+    exposed_label, unexposed_label = _check_exposure_labels(labels, exposed_value, len(y) > 0)
+    kept = _kept(ids, complete)
+    return LongitudinalDataset(
+        ids=kept,
+        exposed=label[complete] == labels.get(exposed_value, -1),
+        outcomes=y[complete],
+        n_visits=y.shape[1],
+        dropped_incomplete=len(y) - len(kept),
+        exposed_label=exposed_label,
+        unexposed_label=unexposed_label,
+    )
+
+
+def _long_dataset(
+    ids, labels: dict, subject_label: np.ndarray,
+    subject: np.ndarray, visit: np.ndarray, y: np.ndarray, n_visits: int, exposed_value: str,
+) -> LongitudinalDataset:
+    """The dataset of a long file's rows: subject number, visit and outcome code of each.
+
+    ids and subject_label hold each subject's id and exposure label code,
+    in first-seen order.  No (subject, visit) repeats and every visit is
+    in 1..n_visits.
+    """
+    # With no duplicate and every visit in 1..T, T rows make a subject complete.
+    n_subjects = len(subject_label)
+    complete = (np.bincount(subject, minlength=n_subjects) == n_visits) & (
+        np.bincount(subject[y == _EMPTY], minlength=n_subjects) == 0
+    )
+    keep = complete[subject]
+    outcomes = np.zeros((int(np.count_nonzero(complete)), n_visits), dtype=np.int8)
+    outcomes[(np.cumsum(complete) - 1)[subject[keep]], visit[keep] - 1] = y[keep]
+    exposed_label, unexposed_label = _check_exposure_labels(labels, exposed_value, len(subject) > 0)
+    return LongitudinalDataset(
+        ids=_kept(ids, complete),
+        exposed=subject_label[complete] == labels.get(exposed_value, -1),
+        outcomes=outcomes,
+        n_visits=n_visits,
+        dropped_incomplete=n_subjects - len(outcomes),
+        exposed_label=exposed_label,
+        unexposed_label=unexposed_label,
+    )
+
+
+def _kept(ids, keep: np.ndarray) -> tuple:
+    """The ids where keep holds, as str; ids is an iterable of str or an array of ASCII bytes."""
+    if isinstance(ids, np.ndarray):
+        return tuple(ids[keep].astype(str).tolist())
+    return tuple(compress(ids, keep.tolist()))
+
+
+# ------------------------------------------------ plain files, as bytes
+
+class _Declined(Exception):
+    """The input is not plain; the csv reader parses it instead."""
+
+
+def _require(condition) -> None:
+    if not condition:
+        raise _Declined
+
+
+def _ascii(text) -> bytes:
+    _require(isinstance(text, str) and text.isascii())
+    return text.encode("ascii")
+
+
+def _plain_blocks(read):
+    """The input in blocks of whole lines, about _BLOCK_BYTES at a time.
+
+    Each block ends with a newline; one is added to a last line without
+    it.  A line longer than _BLOCK_BYTES makes a block of its own.
+    """
+    pieces = []
+    while chunk := read(_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            pieces.append(chunk[:cut])
+            yield b"".join(pieces)
+            pieces = [chunk[cut:]]
+        else:
+            pieces.append(chunk)
+    if any(pieces):
+        yield b"".join(pieces) + b"\n"
+
+
+def _header(blocks) -> tuple:
+    """The first line, without its line end, and the rest of the first block."""
+    header, _, rest = next(blocks, b"").partition(b"\n")
+    return header.removesuffix(b"\r"), rest
+
+
+def _fields(block: bytes, width: int) -> tuple:
+    """A plain block's bytes and each field's start and end offset, lines x width.
+
+    Declines unless every byte is printable ASCII other than space and
+    '"', a newline, or a carriage return before a newline, and every line
+    has width fields.
+    """
+    a = np.frombuffer(block, dtype=np.uint8)
+    cr = np.flatnonzero(a == 13)
+    if cr.size:
+        _require((a[cr + 1] == 10).all())
+        a = np.delete(a, cr)
+    newline = a == 10
+    lines = int(np.count_nonzero(newline))
+    ends = np.flatnonzero(newline | (a == 44))
+    _require(
+        ends.size == lines * width
+        and np.count_nonzero((a - 33 < 94) & (a != 34)) == a.size - lines
+    )
+    ends = ends.reshape(lines, width)
+    _require(newline[ends[:, -1]].all())  # so every other separator is a comma
+    starts = np.empty_like(ends)
+    starts[:, 1:] = ends[:, :-1] + 1
+    starts[1:, 0] = ends[:-1, -1] + 1
+    starts[:1, 0] = 0
+    return a, starts, ends
+
+
+def _names(a, starts, ends) -> np.ndarray:
+    """Fields as fixed-width byte strings; declines on an empty one or one over _NAME_BYTES."""
+    lengths = ends - starts
+    width = int(lengths.max(initial=1))
+    _require(lengths.min(initial=1) > 0 and width <= _NAME_BYTES)
+    offsets = np.arange(width)
+    cells = a[np.minimum(starts[:, None] + offsets, ends[:, None])]
+    cells[offsets >= lengths[:, None]] = 0
+    return cells.view(f"S{width}").ravel()
+
+
+def _label_codes(a, starts, ends, labels: dict) -> np.ndarray:
+    """Each field's exposure label code, numbering new labels in first-seen order; declines on a third label."""
+    names = _names(a, starts, ends)
+    codes = np.full(len(names), -1, dtype=np.int8)
+    for label, code in labels.items():
+        codes[names == label.encode("ascii")] = code
+    while (new := np.flatnonzero(codes < 0)).size:
+        _require(len(labels) < 2)
+        label = names[new[0]]
+        codes[names == label] = labels.setdefault(label.decode("ascii"), len(labels))
+    return codes
+
+
+def _outcome_codes(a, starts, ends) -> np.ndarray:
+    """Outcome codes of fields "0", "1" or empty; declines on any other field."""
+    lengths = ends - starts
+    digit = a[starts] - 48  # an empty field's start is its separator; uint8, so only "0" and "1" give <= 1
+    _require((((lengths == 1) & (digit <= 1)) | (lengths == 0)).all())
+    return np.where(lengths == 0, _EMPTY, digit).astype(np.int8)
+
+
+def _visit_numbers(a, starts, ends) -> np.ndarray:
+    """Visits of 1 to _VISIT_DIGITS ASCII digits; declines on any other field."""
+    lengths = ends - starts
+    _require(lengths.min(initial=1) > 0 and lengths.max(initial=1) <= _VISIT_DIGITS)
+    visits = np.zeros(len(starts), dtype=np.int64)
+    for k in range(int(lengths.max(initial=0))):
+        more = lengths > k
+        digit = a[np.minimum(starts + k, ends)] - 48
+        _require((digit[more] <= 9).all())
+        visits = np.where(more, visits * 10 + digit, visits)
+    return visits
+
+
+def _plain_wide(read) -> tuple:
+    """(ids, labels, label codes, outcome codes) of a plain wide file, for _wide_dataset."""
+    blocks = _plain_blocks(read)
+    header, rest = _header(blocks)
+    n_visits = header.count(b",") - 1
+    _require(n_visits >= 2 and header == b",".join(
+        [b"id", b"exposure", *(b"y%d" % v for v in range(1, n_visits + 1))]
+    ))
+    labels = {}
+    ids, codes, y = [np.empty(0, "S1")], [np.empty(0, np.int8)], [np.empty((0, n_visits), np.int8)]
+    for block in chain([rest], blocks):
+        a, starts, ends = _fields(block, n_visits + 2)
+        ids.append(_names(a, starts[:, 0], ends[:, 0]))
+        codes.append(_label_codes(a, starts[:, 1], ends[:, 1], labels))
+        y.append(_outcome_codes(a, starts[:, 2:], ends[:, 2:]))
+    return np.concatenate(ids), labels, np.concatenate(codes), np.concatenate(y)
+
+
+def _plain_long(read) -> tuple:
+    """The arguments of _long_dataset, for a plain long file.
+
+    Declines on a duplicate (id, visit), a subject with two labels, or
+    a largest visit below 2 or above the number of rows.
+    """
+    blocks = _plain_blocks(read)
+    header, rest = _header(blocks)
+    _require(header == b"id,exposure,visit,y")
+    labels = {}
+    sids, codes, visits, ys = (
+        [np.empty(0, "S1")], [np.empty(0, np.int8)], [np.empty(0, np.int64)], [np.empty(0, np.int8)]
+    )
+    for block in chain([rest], blocks):
+        a, starts, ends = _fields(block, 4)
+        sids.append(_names(a, starts[:, 0], ends[:, 0]))
+        codes.append(_label_codes(a, starts[:, 1], ends[:, 1], labels))
+        visits.append(_visit_numbers(a, starts[:, 2], ends[:, 2]))
+        ys.append(_outcome_codes(a, starts[:, 3], ends[:, 3]))
+    visit = np.concatenate(visits)
+    n_visits = int(visit.max(initial=0))
+    _require(2 <= n_visits <= len(visit) and visit.min() > 0)
+    ids, first, inverse = np.unique(np.concatenate(sids), return_index=True, return_inverse=True)
+    order = np.argsort(first)  # subjects in first-seen order
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    subject = number[inverse]
+    label = np.concatenate(codes)
+    subject_label = label[first[order]]
+    _require((label == subject_label[subject]).all())
+    key = np.sort(subject * n_visits + (visit - 1))
+    _require(not (key[1:] == key[:-1]).any())
+    return ids[order], labels, subject_label, subject, visit, np.concatenate(ys), n_visits
+
+
+# ------------------------------------------------ any other file, as csv
+
+def _csv_wide(handle) -> tuple:
+    """(ids, labels, label codes, outcome codes) of a wide file, for _wide_dataset."""
     reader = csv.reader(handle)
     header = _read_header(reader)
     n_visits = len(header) - 2
@@ -246,7 +517,6 @@ def _parse_wide(handle, exposed_value: str) -> LongitudinalDataset:
         )
     labels = {}
     ids, codes, outcomes = [], [np.empty(0, np.int64)], [np.empty((0, n_visits), np.int8)]
-    n_rows = 0
     for rows, lines in _row_blocks(reader):
         block = _Block(rows, lines)
         block.check_field_count(n_visits + 2)
@@ -263,36 +533,10 @@ def _parse_wide(handle, exposed_value: str) -> LongitudinalDataset:
         )
         if block.error is not None:
             raise block.error
-        complete = ~(y == _EMPTY).any(axis=1)
-        ids.extend(compress(block.column(0), complete.tolist()))
-        codes.append(label_codes[complete])
-        outcomes.append(y[complete])
-        n_rows += len(rows)
-    exposed_label, unexposed_label = _check_exposure_labels(labels, exposed_value, n_rows > 0)
-    return LongitudinalDataset(
-        ids=tuple(ids),
-        exposed=np.concatenate(codes) == labels.get(exposed_value, -1),
-        outcomes=np.concatenate(outcomes),
-        n_visits=n_visits,
-        dropped_incomplete=n_rows - len(ids),
-        exposed_label=exposed_label,
-        unexposed_label=unexposed_label,
-    )
-
-
-def parse_long_dataset(source, exposed_value: str) -> LongitudinalDataset:
-    """Parse the long per-observation CSV: header id,exposure,visit,y.
-
-    Visits must be integers 1..T; T is the largest visit in the file,
-    and may not exceed the number of observation rows.  A subject
-    missing any visit (or with an empty y) is dropped and counted.
-    Conflicting exposure labels or duplicate (id, visit) rows raise
-    ParseError.
-    """
-    if hasattr(source, "read"):
-        return _parse_long(source, exposed_value)
-    with open(source, "r", encoding="utf-8", newline="") as handle:
-        return _parse_long(handle, exposed_value)
+        ids.extend(block.column(0))
+        codes.append(label_codes)
+        outcomes.append(y)
+    return ids, labels, np.concatenate(codes), np.concatenate(outcomes)
 
 
 class _Observations:
@@ -370,7 +614,8 @@ class _Observations:
             raise ParseError(f"duplicate visit {visit} for subject {sid!r}", line=int(lines[row]))
 
 
-def _parse_long(handle, exposed_value: str) -> LongitudinalDataset:
+def _csv_long(handle) -> tuple:
+    """The arguments of _long_dataset, for any long file; raises ParseError at the first fault."""
     reader = csv.reader(handle)
     header = _read_header(reader)
     if header != ["id", "exposure", "visit", "y"]:
@@ -392,24 +637,7 @@ def _parse_long(handle, exposed_value: str) -> LongitudinalDataset:
         )
     if n_visits < 2:
         raise ParseError("need outcomes for at least 2 visits")
-    # With no duplicate and every visit in 1..T, T rows make a subject complete.
-    n_subjects = len(obs.index)
-    complete = (np.bincount(subject, minlength=n_subjects) == n_visits) & (
-        np.bincount(subject[y == _EMPTY], minlength=n_subjects) == 0
-    )
-    keep = complete[subject]
-    outcomes = np.zeros((int(np.count_nonzero(complete)), n_visits), dtype=np.int8)
-    outcomes[(np.cumsum(complete) - 1)[subject[keep]], visit[keep] - 1] = y[keep]
-    exposed_label, unexposed_label = _check_exposure_labels(obs.labels, exposed_value, len(subject) > 0)
-    return LongitudinalDataset(
-        ids=tuple(compress(obs.index, complete.tolist())),
-        exposed=obs.subject_label[complete] == obs.labels.get(exposed_value, -1),
-        outcomes=outcomes,
-        n_visits=n_visits,
-        dropped_incomplete=n_subjects - len(outcomes),
-        exposed_label=exposed_label,
-        unexposed_label=unexposed_label,
-    )
+    return obs.index, obs.labels, obs.subject_label, subject, visit, y, n_visits
 
 
 def build_conditional_tables(data: LongitudinalDataset, j: int, k: int) -> StratifiedTables:

@@ -123,6 +123,32 @@ class TestParsing:
         assert out.stdout.strip() == f"condrisk {__version__}"
 
 
+
+def _python(code, **env):
+    """Run code in a fresh interpreter on the source tree, without OPENBLAS_NUM_THREADS unless given."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**base, **env})
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
+class TestLazyPackage:
+    def test_import_loads_no_numpy_and_leaves_the_environment(self):
+        code = (
+            "import os, sys, condrisk\n"
+            "print('numpy' in sys.modules, 'OPENBLAS_NUM_THREADS' in os.environ)\n"
+            "missing = [name for name in condrisk.__all__ if not hasattr(condrisk, name)]\n"
+            "print(missing or '-', set(condrisk.__all__) <= set(dir(condrisk)))\n"
+        )
+        assert _python(code) == ["False", "False", "-", "True"]
+
+    @pytest.mark.parametrize("given, want", [(None, "1"), ("3", "3")])
+    def test_cli_runs_one_openblas_thread_unless_told(self, given, want):
+        code = "import os, sys, condrisk.cli; print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])"
+        env = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
+        assert _python(code, **env) == ["True", want]
+
 class TestAnalyze:
     def run(self, dataset, out_dir, *extra):
         return main([

@@ -250,23 +250,27 @@ class TestVisitBound:
 
 # Random wide and long texts: mostly well-formed rows, plus blank and
 # whitespace-only rows, padded and quoted fields (an embedded newline
-# makes line numbers run ahead of row numbers) and injected faults.
+# makes line numbers run ahead of row numbers) and injected faults.  Half
+# are drawn plain (no padding, quoting or blank rows), the files the byte
+# tokenizer reads; their injected faults make it decline.
 _IDS = ["s1", "s2", "s3", "a,b", "c\nd", "e f"]
+_PLAIN_IDS = ["s1", "s2", "s3", "s01", "S:4/x"]
 _BLANKS = ["", "   ", " , ,  , ", ",,,", ","]
 _EXPOSED_VALUES = ["E", "E", "E", "N", "Q"]
 
 
-def _pad(draw, token):
-    return draw(st.sampled_from([token, token, token, f" {token}", f"{token} "]))
+def _pad(draw, token, plain):
+    return token if plain else draw(st.sampled_from([token, token, token, f" {token}", f"{token} "]))
 
 
-def _render(header, records):
+def _render(draw, header, records):
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    terminator = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    writer = csv.writer(out, lineterminator=terminator)
     writer.writerow(header)
     for record in records:
         if isinstance(record, str):
-            out.write(record + "\n")
+            out.write(record + terminator)
         else:
             writer.writerow(record)
     return out.getvalue()
@@ -280,23 +284,25 @@ def _insert(draw, records, extras):
 
 @st.composite
 def long_texts(draw):
-    labels = {sid: draw(st.sampled_from(["E", "N"])) for sid in _IDS}
+    plain = draw(st.booleans())
+    ids = _PLAIN_IDS if plain else _IDS
+    labels = {sid: draw(st.sampled_from(["E", "N"])) for sid in ids}
     n_visits = draw(st.integers(2, 3))
     keys = []
-    for sid in draw(st.lists(st.sampled_from(_IDS), unique=True, min_size=1, max_size=5)):
+    for sid in draw(st.lists(st.sampled_from(ids), unique=True, min_size=1, max_size=5)):
         visits = range(1, n_visits + 1)
         if draw(st.integers(0, 3)) == 0:  # most subjects have every visit
             visits = draw(st.lists(st.sampled_from(visits), unique=True))
         keys.extend((sid, visit) for visit in visits)
     records = [
-        [_pad(draw, sid), _pad(draw, labels[sid]), _pad(draw, str(visit)),
-         _pad(draw, draw(st.sampled_from(["0", "1", "0", "1", ""])))]
+        [_pad(draw, sid, plain), _pad(draw, labels[sid], plain), _pad(draw, str(visit), plain),
+         _pad(draw, draw(st.sampled_from(["0", "1", "0", "1", ""])), plain)]
         for sid, visit in draw(st.permutations(keys))
     ]
     n_faults = draw(st.sampled_from([0, 0, 1, 1, 2]))
     faults = []
     for _ in range(n_faults):
-        sid = draw(st.sampled_from(_IDS))
+        sid = draw(st.sampled_from(ids))
         row = [sid, labels[sid], draw(st.sampled_from(["1", "2", "3"])), "1"]
         kind = draw(st.sampled_from([
             "fields", "visit", "visit_low", "outcome", "third", "conflict", "duplicate", "big", "huge",
@@ -320,19 +326,21 @@ def long_texts(draw):
         elif kind == "huge":
             row[2] = draw(st.sampled_from(["99999999999999999999999", "4611686018427387904"]))
         faults.append(row)
-    blanks = draw(st.lists(st.sampled_from(_BLANKS), max_size=3))
-    text = _render(["id", "exposure", "visit", "y"], _insert(draw, _insert(draw, records, faults), blanks))
-    return draw(st.sampled_from(["", "\n", "  \n"])) + text
+    blanks = [] if plain else draw(st.lists(st.sampled_from(_BLANKS), max_size=3))
+    text = _render(draw, ["id", "exposure", "visit", "y"], _insert(draw, _insert(draw, records, faults), blanks))
+    return ("" if plain else draw(st.sampled_from(["", "\n", "  \n"]))) + text
 
 
 @st.composite
 def wide_texts(draw):
+    plain = draw(st.booleans())
     n_visits = draw(st.integers(2, 3))
     records = []
     for _ in range(draw(st.integers(0, 8))):
         label = draw(st.sampled_from(["E", "N", "N"]))
-        outcomes = [_pad(draw, draw(st.sampled_from(["0", "1", "1", "0", ""]))) for _ in range(n_visits)]
-        records.append([_pad(draw, draw(st.sampled_from(_IDS))), _pad(draw, label), *outcomes])
+        outcomes = [_pad(draw, draw(st.sampled_from(["0", "1", "1", "0", ""])), plain) for _ in range(n_visits)]
+        sid = draw(st.sampled_from(_PLAIN_IDS if plain else _IDS))
+        records.append([_pad(draw, sid, plain), _pad(draw, label, plain), *outcomes])
     faults = []
     for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
         row = ["f", "E"] + ["1"] * n_visits
@@ -344,38 +352,190 @@ def wide_texts(draw):
         else:
             row[1] = "Z"
         faults.append(row)
-    blanks = draw(st.lists(st.sampled_from(_BLANKS), max_size=3))
+    blanks = [] if plain else draw(st.lists(st.sampled_from(_BLANKS), max_size=3))
     header = ["id", "exposure"] + [f"y{v}" for v in range(1, n_visits + 1)]
-    return _render(header, _insert(draw, _insert(draw, records, faults), blanks))
+    return _render(draw, header, _insert(draw, _insert(draw, records, faults), blanks))
 
 
-def _parsed(parse, text, exposed_value):
+def _parsed(parse, source, exposed_value):
+    """A parse of a text, a handle or a Path as plain values, or its error's type, message and line."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
     try:
-        ds = parse(io.StringIO(text), exposed_value)
-    except ParseError as exc:
-        return ("ParseError", str(exc), exc.line)
+        ds = parse(source, exposed_value)
+    except (ParseError, UnicodeDecodeError, csv.Error) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None))
     if isinstance(ds, tuple):
         return ds
     return (ds.ids, ds.exposed.tolist(), ds.outcomes.tolist(), ds.n_visits,
             ds.dropped_incomplete, ds.exposed_label, ds.unexposed_label)
 
 
+# Rows per csv block with bytes per plain block; a test id names the rows.
+_BLOCKS = [(1, 1), (2, 7), (3, 64), (ingest._BLOCK_ROWS, ingest._BLOCK_BYTES)]
+
+
 class TestParsersAgainstLoopOracles:
-    @pytest.mark.parametrize("block_rows", [1, 2, 3, ingest._BLOCK_ROWS])
+    @pytest.mark.parametrize("block_rows, block_bytes", _BLOCKS, ids=[str(rows) for rows, _ in _BLOCKS])
     @given(text=long_texts(), exposed_value=st.sampled_from(_EXPOSED_VALUES))
     @settings(max_examples=300, deadline=None)
-    def test_long(self, block_rows, text, exposed_value):
+    def test_long(self, block_rows, block_bytes, text, exposed_value):
         want = _parsed(loop_parse_long, text, exposed_value)
-        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows), \
+                mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
             assert _parsed(parse_long_dataset, text, exposed_value) == want
 
-    @pytest.mark.parametrize("block_rows", [1, 2, 3, ingest._BLOCK_ROWS])
+    @pytest.mark.parametrize("block_rows, block_bytes", _BLOCKS, ids=[str(rows) for rows, _ in _BLOCKS])
     @given(text=wide_texts(), exposed_value=st.sampled_from(_EXPOSED_VALUES))
     @settings(max_examples=300, deadline=None)
-    def test_wide(self, block_rows, text, exposed_value):
+    def test_wide(self, block_rows, block_bytes, text, exposed_value):
         want = _parsed(loop_parse_wide, text, exposed_value)
-        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows), \
+                mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
             assert _parsed(parse_dataset, text, exposed_value) == want
+
+
+def _cohort_texts(n_subjects=3000, n_visits=4):
+    """A seeded cohort written wide and long the way the benchmark writes it.
+
+    Ids S000000...; labels "exposed" and "control"; 3% of subjects miss
+    one outcome, as an empty y or, in half the long cases, an absent row;
+    long rows come visit by visit.
+    """
+    rng = np.random.default_rng(8)
+    labels = np.where(rng.random(n_subjects) < 0.4, "exposed", "control")
+    cells = (rng.random((n_subjects, n_visits)) < 0.3).astype(int).astype(str).astype(object)
+    missing = np.where(rng.random(n_subjects) < 0.03, rng.integers(0, n_visits, n_subjects), -1)
+    cells[missing >= 0, missing[missing >= 0]] = ""
+    absent = (missing >= 0) & (rng.random(n_subjects) < 0.5)
+    ids = [f"S{i:06d}" for i in range(n_subjects)]
+    wide = "id,exposure," + ",".join(f"y{v}" for v in range(1, n_visits + 1)) + "\n" + "".join(
+        f"{sid},{label},{','.join(row)}\n" for sid, label, row in zip(ids, labels, cells)
+    )
+    long_ = "id,exposure,visit,y\n" + "".join(
+        f"{ids[s]},{labels[s]},{v + 1},{cells[s, v]}\n"
+        for v in range(n_visits) for s in range(n_subjects) if not (absent[s] and missing[s] == v)
+    )
+    return wide, long_
+
+
+_CSV_PATH = {parse_dataset: "_csv_wide", parse_long_dataset: "_csv_long"}
+
+
+def _via_csv(parse, source, exposed_value="E"):
+    """_parsed with the byte tokenizer switched off."""
+    with mock.patch.object(ingest, "_plain_wide", side_effect=ingest._Declined), \
+            mock.patch.object(ingest, "_plain_long", side_effect=ingest._Declined):
+        return _parsed(parse, source, exposed_value)
+
+
+def _spied(parse, source, exposed_value="E"):
+    """_parsed, and whether the parse entered the csv reader path."""
+    name = _CSV_PATH[parse]
+    with mock.patch.object(ingest, name, wraps=getattr(ingest, name)) as spy:
+        return _parsed(parse, source, exposed_value), spy.called
+
+
+_LONG = "id,exposure,visit,y\ns1,E,1,1\ns2,N,1,0\ns1,E,2,0\ns2,N,2,\ns3,E,1,1\ns3,E,2,1\n"
+_WIDE = "id,exposure,y1,y2\ns1,E,1,0\ns2,N,0,\ns3,E,1,1\n"
+
+# Each case breaks one rule of a plain file: (parse, text, old, new), new
+# taking the place of the first old in text.
+_DECLINES = {
+    "quote": (parse_long_dataset, _LONG, "s2,N,1,0", '"s2",N,1,0'),
+    "space": (parse_long_dataset, _LONG, "s2,N,1,0", "s2 ,N,1,0"),
+    "tab": (parse_long_dataset, _LONG, "s2,N,1,0", "s2,N\t,1,0"),
+    "blank line": (parse_long_dataset, _LONG, "s2,N,1,0\n", "s2,N,1,0\n\n"),
+    "lone CR ending a line": (parse_long_dataset, _LONG, "s2,N,1,0\n", "s2,N,1,0\r"),
+    "lone CR in a field": (parse_long_dataset, _LONG, "s2,N,1,0", "s2,N\r,1,0"),
+    "non-ASCII id": (parse_long_dataset, _LONG, "s2", "sé2"),
+    "BOM": (parse_long_dataset, _LONG, "id,", "\ufeffid,"),
+    "19-digit visit": (parse_long_dataset, _LONG, "s3,E,2,1", "s3,E,1000000000000000002,1"),
+    "long id": (parse_long_dataset, _LONG, "s2", "s2" + "x" * ingest._NAME_BYTES),
+    "padded header": (parse_long_dataset, _LONG, "id,exposure", "id, exposure"),
+    "empty id": (parse_long_dataset, _LONG, "s2,N,1,0", ",N,1,0"),
+    "blank row": (parse_long_dataset, _LONG, "s2,N,1,0\n", "s2,N,1,0\n,,,\n"),
+    "field count": (parse_long_dataset, _LONG, "s2,N,1,0", "s2,N,1,0,1"),
+    "signed visit": (parse_long_dataset, _LONG, "s2,N,1,0", "s2,N,+1,0"),
+    "visit not an integer": (parse_long_dataset, _LONG, "s2,N,1,0", "s2,N,x,0"),
+    # ":" follows "9", so read as a digit it would make visit 10, within 10 rows
+    "visit not a digit": (parse_long_dataset, _LONG + "t1,N,1,0\nt2,N,1,0\nt3,N,1,0\nt4,N,1,0\n",
+                          "s2,N,1,0", "s2,N,:,0"),
+    "visit 0": (parse_long_dataset, _LONG, "s2,N,1,0", "s2,N,0,0"),
+    "bad outcome": (parse_long_dataset, _LONG, "s2,N,1,0", "s2,N,1,2"),
+    "third label": (parse_long_dataset, _LONG, "s3,E,2,1\n", "s3,E,2,1\ns4,Z,1,1\n"),
+    "conflicting label": (parse_long_dataset, _LONG, "s1,E,2,0", "s1,N,2,0"),
+    "duplicate visit": (parse_long_dataset, _LONG, "s3,E,2,1\n", "s3,E,2,1\ns1,E,2,1\n"),
+    "visit past the rows": (parse_long_dataset, _LONG, "s3,E,2,1", "s3,E,9,1"),
+    "one visit": (parse_long_dataset, _LONG, "s1,E,2,0\ns2,N,2,\ns3,E,1,1\ns3,E,2,1\n", ""),
+    "wide field count": (parse_dataset, _WIDE, "s2,N,0,", "s2,N,0"),
+    "wide bad outcome": (parse_dataset, _WIDE, "s2,N,0,", "s2,N,0,x"),
+    "wide third label": (parse_dataset, _WIDE, "s3,E", "s3,Z"),
+    "wide blank row": (parse_dataset, _WIDE, "s2,N,0,\n", "s2,N,0,\n,,,\n"),
+    "wide quote": (parse_dataset, _WIDE, "s1", '"s1"'),
+}
+
+
+class TestPlainPath:
+    """The byte tokenizer reads plain files; it leaves any other to the csv reader."""
+
+    @pytest.mark.parametrize("block_bytes", [4096, ingest._BLOCK_BYTES])
+    @pytest.mark.parametrize("terminator", ["\n", "\r\n"])
+    def test_reads_a_cohort_file_without_the_csv_reader(self, tmp_path, block_bytes, terminator):
+        wide, long_ = _cohort_texts()
+        results = []
+        for parse, text in ((parse_dataset, wide), (parse_long_dataset, long_)):
+            text = text.replace("\n", terminator)
+            path = tmp_path / f"{_CSV_PATH[parse]}.csv"
+            path.write_bytes(text.encode("ascii"))
+            want = _via_csv(parse, path, "exposed")
+            assert want[0] and want[4] > 0  # subjects kept and dropped
+            with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
+                for source in (path, text):
+                    assert _spied(parse, source, "exposed") == (want, False)
+            results.append(want)
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("case", list(_DECLINES))
+    def test_declines_to_the_csv_reader(self, tmp_path, case):
+        parse, text, old, new = _DECLINES[case]
+        assert old in text
+        text = text.replace(old, new, 1)
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        for source in (path, text):
+            assert _spied(parse, source) == (_via_csv(parse, source), True)
+
+    def test_declines_on_invalid_utf8(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_bytes(_LONG.encode("ascii").replace(b"s2", b"s\xff2"))
+        got, used_csv = _spied(parse_long_dataset, path)
+        assert used_csv and got[0] == "UnicodeDecodeError"
+        assert got == _via_csv(parse_long_dataset, path)
+
+    def test_plain_file_errors_left_after_the_rows(self):
+        # the exposed value is checked after the rows, on either path
+        for parse, text in ((parse_dataset, _WIDE), (parse_long_dataset, _LONG)):
+            got, used_csv = _spied(parse, text, "Q")
+            assert not used_csv
+            assert got == _via_csv(parse, text, "Q") == (
+                "ParseError", "exposed value 'Q' not present in exposure column (found: 'E', 'N')", None
+            )
+
+    def test_handle_is_read_again_from_where_the_parse_started(self):
+        text = _LONG.replace("s2,N,1,0", '"s2",N,1,0')
+        handle = io.StringIO("skipped\n" + text)
+        handle.readline()
+        got, used_csv = _spied(parse_long_dataset, handle)
+        assert used_csv and got == _via_csv(parse_long_dataset, text)
+
+    def test_handle_that_cannot_seek_takes_the_csv_reader(self):
+        class Pipe(io.StringIO):
+            def seekable(self):
+                return False
+
+        got, used_csv = _spied(parse_long_dataset, Pipe(_LONG))
+        assert used_csv and got == _via_csv(parse_long_dataset, _LONG)
 
 
 @st.composite
