@@ -2,27 +2,23 @@
 
 Input is wide (header id,exposure,y1,...,yT: one row per subject) or
 long (header id,exposure,visit,y: one row per observation).  A plain
-file is read as bytes, _BLOCK_BYTES at a time, and split into fields
-with array operations.  Plain means: every byte is printable ASCII other
-than space and '"', or a newline (a carriage return may come just before
-one); no line is empty; every line has the header's number of fields;
-ids and labels are 1 to _NAME_BYTES bytes, visits 1 to _VISIT_DIGITS
-digits and outcomes 0, 1 or empty.  This path raises no ParseError:
-on any other input, or any faulty row, it declines and the csv reader
-parses the input from the start.  That path reads blocks of _BLOCK_ROWS
-rows and checks each block with array operations; the first offending
-row raises ParseError with its line number, as a row-by-row reader
-would.  Both paths end in the same code, so their datasets are equal.
+file (see _plaincsv) is read as bytes and split into fields with array
+operations.  That path raises no ParseError: on any other input, or any
+faulty row, it declines and the csv reader parses the input from the
+start.  The csv path reads blocks of _BLOCK_ROWS rows and checks each
+block with array operations; the first offending row raises ParseError
+with its line number, as a row-by-row reader would.  Both paths end in
+the same code, so their datasets are equal.
 
 Subjects with any missing outcome are dropped and counted (complete-case
 rule).  A dataset holds only complete subjects, as columns: their ids, a
 read-only exposure flag per subject and a read-only subjects x visits
 int8 outcome matrix; Subject records are built only on request.  Parsing
-holds one block, the outcome codes and a few bytes per row besides the
-row's id (csv path: the id table).  A long file whose largest visit
-exceeds its number of observation rows is rejected, since no subject can
-then have every visit, so parse and analysis work stay linear in the
-input size.
+holds one block of input and, per row, its id and a few bytes of codes;
+the csv reader keeps a long file's ids as an id table.  A long file
+whose largest visit exceeds its number of observation rows is rejected,
+since no subject can then have every visit, so parse and analysis work
+stay linear in the input size.
 
 For each requested visit pair (j, k) the analysis stratifies the time-j
 exposure-by-outcome table on the time-k outcome (one bincount) and
@@ -35,11 +31,13 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import itemgetter
 
 import numpy as np
 
+from . import _plaincsv
+from ._plaincsv import EMPTY as _EMPTY
 from ._version import __version__
 from .errors import DegenerateTableError, DomainError, ParseError
 from .measures import (
@@ -59,11 +57,8 @@ GROUP_EXPOSED = "E"
 GROUP_UNEXPOSED = "nonE"
 
 _BLOCK_ROWS = 1 << 12  # rows the csv reader path holds at once
-_BLOCK_BYTES = 1 << 16  # bytes the plain-file path reads at once
-_NAME_BYTES = 64  # longest id or exposure label the plain-file path decodes
-_VISIT_DIGITS = 18  # most digits of a visit it decodes, so every visit fits int64
-_OUTCOME_CODES = {"0": 0, "1": 1, "": 2}
-_EMPTY, _BAD = 2, 3  # outcome codes besides 0 and 1
+_OUTCOME_CODES = {"0": 0, "1": 1, "": _EMPTY}
+_BAD = 3  # outcome code of any other token
 # Visits at or above this are coded _VISIT_CAP + the rank of their first
 # appearance, so that every visit fits int64 and equal visits stay equal.
 _VISIT_CAP = 1 << 62
@@ -240,7 +235,7 @@ def parse_dataset(source, exposed_value: str) -> LongitudinalDataset:
     with empty outcome cells are dropped and counted; structurally bad
     rows raise ParseError with the line number.
     """
-    return _wide_dataset(*_parse(source, _plain_wide, _csv_wide), exposed_value)
+    return _wide_dataset(*_parse(source, _plaincsv.read_wide, _csv_wide), exposed_value)
 
 
 def parse_long_dataset(source, exposed_value: str) -> LongitudinalDataset:
@@ -252,7 +247,7 @@ def parse_long_dataset(source, exposed_value: str) -> LongitudinalDataset:
     Conflicting exposure labels or duplicate (id, visit) rows raise
     ParseError.
     """
-    return _long_dataset(*_parse(source, _plain_long, _csv_long), exposed_value)
+    return _long_dataset(*_parse(source, _plaincsv.read_long, _csv_long), exposed_value)
 
 
 def _parse(source, plain, fallback):
@@ -266,15 +261,15 @@ def _parse(source, plain, fallback):
         try:
             with open(source, "rb") as handle:
                 return plain(handle.read)
-        except _Declined:
+        except _plaincsv.Declined:
             pass
         with open(source, "r", encoding="utf-8", newline="") as handle:
             return fallback(handle)
     if source.seekable():
         start = source.tell()
         try:
-            return plain(lambda size: _ascii(source.read(size)))
-        except _Declined:
+            return plain(lambda size: _plaincsv.ascii_bytes(source.read(size)))
+        except _plaincsv.Declined:
             source.seek(start)
     return fallback(source)
 
@@ -334,175 +329,6 @@ def _kept(ids, keep: np.ndarray) -> tuple:
         return tuple(ids[keep].astype(str).tolist())
     return tuple(compress(ids, keep.tolist()))
 
-
-# ------------------------------------------------ plain files, as bytes
-
-class _Declined(Exception):
-    """The input is not plain; the csv reader parses it instead."""
-
-
-def _require(condition) -> None:
-    if not condition:
-        raise _Declined
-
-
-def _ascii(text) -> bytes:
-    _require(isinstance(text, str) and text.isascii())
-    return text.encode("ascii")
-
-
-def _plain_blocks(read):
-    """The input in blocks of whole lines, about _BLOCK_BYTES at a time.
-
-    Each block ends with a newline; one is added to a last line without
-    it.  A line longer than _BLOCK_BYTES makes a block of its own.
-    """
-    pieces = []
-    while chunk := read(_BLOCK_BYTES):
-        cut = chunk.rfind(b"\n") + 1
-        if cut:
-            pieces.append(chunk[:cut])
-            yield b"".join(pieces)
-            pieces = [chunk[cut:]]
-        else:
-            pieces.append(chunk)
-    if any(pieces):
-        yield b"".join(pieces) + b"\n"
-
-
-def _header(blocks) -> tuple:
-    """The first line, without its line end, and the rest of the first block."""
-    header, _, rest = next(blocks, b"").partition(b"\n")
-    return header.removesuffix(b"\r"), rest
-
-
-def _fields(block: bytes, width: int) -> tuple:
-    """A plain block's bytes and each field's start and end offset, lines x width.
-
-    Declines unless every byte is printable ASCII other than space and
-    '"', a newline, or a carriage return before a newline, and every line
-    has width fields.
-    """
-    a = np.frombuffer(block, dtype=np.uint8)
-    cr = np.flatnonzero(a == 13)
-    if cr.size:
-        _require((a[cr + 1] == 10).all())
-        a = np.delete(a, cr)
-    newline = a == 10
-    lines = int(np.count_nonzero(newline))
-    ends = np.flatnonzero(newline | (a == 44))
-    _require(
-        ends.size == lines * width
-        and np.count_nonzero((a - 33 < 94) & (a != 34)) == a.size - lines
-    )
-    ends = ends.reshape(lines, width)
-    _require(newline[ends[:, -1]].all())  # so every other separator is a comma
-    starts = np.empty_like(ends)
-    starts[:, 1:] = ends[:, :-1] + 1
-    starts[1:, 0] = ends[:-1, -1] + 1
-    starts[:1, 0] = 0
-    return a, starts, ends
-
-
-def _names(a, starts, ends) -> np.ndarray:
-    """Fields as fixed-width byte strings; declines on an empty one or one over _NAME_BYTES."""
-    lengths = ends - starts
-    width = int(lengths.max(initial=1))
-    _require(lengths.min(initial=1) > 0 and width <= _NAME_BYTES)
-    offsets = np.arange(width)
-    cells = a[np.minimum(starts[:, None] + offsets, ends[:, None])]
-    cells[offsets >= lengths[:, None]] = 0
-    return cells.view(f"S{width}").ravel()
-
-
-def _label_codes(a, starts, ends, labels: dict) -> np.ndarray:
-    """Each field's exposure label code, numbering new labels in first-seen order; declines on a third label."""
-    names = _names(a, starts, ends)
-    codes = np.full(len(names), -1, dtype=np.int8)
-    for label, code in labels.items():
-        codes[names == label.encode("ascii")] = code
-    while (new := np.flatnonzero(codes < 0)).size:
-        _require(len(labels) < 2)
-        label = names[new[0]]
-        codes[names == label] = labels.setdefault(label.decode("ascii"), len(labels))
-    return codes
-
-
-def _outcome_codes(a, starts, ends) -> np.ndarray:
-    """Outcome codes of fields "0", "1" or empty; declines on any other field."""
-    lengths = ends - starts
-    digit = a[starts] - 48  # an empty field's start is its separator; uint8, so only "0" and "1" give <= 1
-    _require((((lengths == 1) & (digit <= 1)) | (lengths == 0)).all())
-    return np.where(lengths == 0, _EMPTY, digit).astype(np.int8)
-
-
-def _visit_numbers(a, starts, ends) -> np.ndarray:
-    """Visits of 1 to _VISIT_DIGITS ASCII digits; declines on any other field."""
-    lengths = ends - starts
-    _require(lengths.min(initial=1) > 0 and lengths.max(initial=1) <= _VISIT_DIGITS)
-    visits = np.zeros(len(starts), dtype=np.int64)
-    for k in range(int(lengths.max(initial=0))):
-        more = lengths > k
-        digit = a[np.minimum(starts + k, ends)] - 48
-        _require((digit[more] <= 9).all())
-        visits = np.where(more, visits * 10 + digit, visits)
-    return visits
-
-
-def _plain_wide(read) -> tuple:
-    """(ids, labels, label codes, outcome codes) of a plain wide file, for _wide_dataset."""
-    blocks = _plain_blocks(read)
-    header, rest = _header(blocks)
-    n_visits = header.count(b",") - 1
-    _require(n_visits >= 2 and header == b",".join(
-        [b"id", b"exposure", *(b"y%d" % v for v in range(1, n_visits + 1))]
-    ))
-    labels = {}
-    ids, codes, y = [np.empty(0, "S1")], [np.empty(0, np.int8)], [np.empty((0, n_visits), np.int8)]
-    for block in chain([rest], blocks):
-        a, starts, ends = _fields(block, n_visits + 2)
-        ids.append(_names(a, starts[:, 0], ends[:, 0]))
-        codes.append(_label_codes(a, starts[:, 1], ends[:, 1], labels))
-        y.append(_outcome_codes(a, starts[:, 2:], ends[:, 2:]))
-    return np.concatenate(ids), labels, np.concatenate(codes), np.concatenate(y)
-
-
-def _plain_long(read) -> tuple:
-    """The arguments of _long_dataset, for a plain long file.
-
-    Declines on a duplicate (id, visit), a subject with two labels, or
-    a largest visit below 2 or above the number of rows.
-    """
-    blocks = _plain_blocks(read)
-    header, rest = _header(blocks)
-    _require(header == b"id,exposure,visit,y")
-    labels = {}
-    sids, codes, visits, ys = (
-        [np.empty(0, "S1")], [np.empty(0, np.int8)], [np.empty(0, np.int64)], [np.empty(0, np.int8)]
-    )
-    for block in chain([rest], blocks):
-        a, starts, ends = _fields(block, 4)
-        sids.append(_names(a, starts[:, 0], ends[:, 0]))
-        codes.append(_label_codes(a, starts[:, 1], ends[:, 1], labels))
-        visits.append(_visit_numbers(a, starts[:, 2], ends[:, 2]))
-        ys.append(_outcome_codes(a, starts[:, 3], ends[:, 3]))
-    visit = np.concatenate(visits)
-    n_visits = int(visit.max(initial=0))
-    _require(2 <= n_visits <= len(visit) and visit.min() > 0)
-    ids, first, inverse = np.unique(np.concatenate(sids), return_index=True, return_inverse=True)
-    order = np.argsort(first)  # subjects in first-seen order
-    number = np.empty_like(order)
-    number[order] = np.arange(len(order))
-    subject = number[inverse]
-    label = np.concatenate(codes)
-    subject_label = label[first[order]]
-    _require((label == subject_label[subject]).all())
-    key = np.sort(subject * n_visits + (visit - 1))
-    _require(not (key[1:] == key[:-1]).any())
-    return ids[order], labels, subject_label, subject, visit, np.concatenate(ys), n_visits
-
-
-# ------------------------------------------------ any other file, as csv
 
 def _csv_wide(handle) -> tuple:
     """(ids, labels, label codes, outcome codes) of a wide file, for _wide_dataset."""

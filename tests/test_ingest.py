@@ -18,7 +18,7 @@ from _oracles import (
     loop_parse_wide,
     loop_visit_risks,
 )
-from condrisk import __version__, ingest
+from condrisk import __version__, _plaincsv, ingest
 from condrisk.errors import DomainError, ParseError
 from condrisk.ingest import (
     GROUP_EXPOSED,
@@ -372,7 +372,7 @@ def _parsed(parse, source, exposed_value):
 
 
 # Rows per csv block with bytes per plain block; a test id names the rows.
-_BLOCKS = [(1, 1), (2, 7), (3, 64), (ingest._BLOCK_ROWS, ingest._BLOCK_BYTES)]
+_BLOCKS = [(1, 1), (2, 7), (3, 64), (ingest._BLOCK_ROWS, _plaincsv.BLOCK_BYTES)]
 
 
 class TestParsersAgainstLoopOracles:
@@ -382,7 +382,7 @@ class TestParsersAgainstLoopOracles:
     def test_long(self, block_rows, block_bytes, text, exposed_value):
         want = _parsed(loop_parse_long, text, exposed_value)
         with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows), \
-                mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
+                mock.patch.object(_plaincsv, "BLOCK_BYTES", block_bytes):
             assert _parsed(parse_long_dataset, text, exposed_value) == want
 
     @pytest.mark.parametrize("block_rows, block_bytes", _BLOCKS, ids=[str(rows) for rows, _ in _BLOCKS])
@@ -391,7 +391,7 @@ class TestParsersAgainstLoopOracles:
     def test_wide(self, block_rows, block_bytes, text, exposed_value):
         want = _parsed(loop_parse_wide, text, exposed_value)
         with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows), \
-                mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
+                mock.patch.object(_plaincsv, "BLOCK_BYTES", block_bytes):
             assert _parsed(parse_dataset, text, exposed_value) == want
 
 
@@ -424,8 +424,8 @@ _CSV_PATH = {parse_dataset: "_csv_wide", parse_long_dataset: "_csv_long"}
 
 def _via_csv(parse, source, exposed_value="E"):
     """_parsed with the byte tokenizer switched off."""
-    with mock.patch.object(ingest, "_plain_wide", side_effect=ingest._Declined), \
-            mock.patch.object(ingest, "_plain_long", side_effect=ingest._Declined):
+    with mock.patch.object(_plaincsv, "read_wide", side_effect=_plaincsv.Declined), \
+            mock.patch.object(_plaincsv, "read_long", side_effect=_plaincsv.Declined):
         return _parsed(parse, source, exposed_value)
 
 
@@ -451,7 +451,7 @@ _DECLINES = {
     "non-ASCII id": (parse_long_dataset, _LONG, "s2", "sé2"),
     "BOM": (parse_long_dataset, _LONG, "id,", "\ufeffid,"),
     "19-digit visit": (parse_long_dataset, _LONG, "s3,E,2,1", "s3,E,1000000000000000002,1"),
-    "long id": (parse_long_dataset, _LONG, "s2", "s2" + "x" * ingest._NAME_BYTES),
+    "long id": (parse_long_dataset, _LONG, "s2", "s2" + "x" * _plaincsv.NAME_BYTES),
     "padded header": (parse_long_dataset, _LONG, "id,exposure", "id, exposure"),
     "empty id": (parse_long_dataset, _LONG, "s2,N,1,0", ",N,1,0"),
     "blank row": (parse_long_dataset, _LONG, "s2,N,1,0\n", "s2,N,1,0\n,,,\n"),
@@ -479,7 +479,7 @@ _DECLINES = {
 class TestPlainPath:
     """The byte tokenizer reads plain files; it leaves any other to the csv reader."""
 
-    @pytest.mark.parametrize("block_bytes", [4096, ingest._BLOCK_BYTES])
+    @pytest.mark.parametrize("block_bytes", [4096, _plaincsv.BLOCK_BYTES])
     @pytest.mark.parametrize("terminator", ["\n", "\r\n"])
     def test_reads_a_cohort_file_without_the_csv_reader(self, tmp_path, block_bytes, terminator):
         wide, long_ = _cohort_texts()
@@ -490,7 +490,7 @@ class TestPlainPath:
             path.write_bytes(text.encode("ascii"))
             want = _via_csv(parse, path, "exposed")
             assert want[0] and want[4] > 0  # subjects kept and dropped
-            with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
+            with mock.patch.object(_plaincsv, "BLOCK_BYTES", block_bytes):
                 for source in (path, text):
                     assert _spied(parse, source, "exposed") == (want, False)
             results.append(want)
