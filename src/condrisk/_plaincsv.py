@@ -158,7 +158,7 @@ def _names(a, starts, ends) -> np.ndarray:
 
 
 def _label_codes(a, starts, ends, labels: dict) -> np.ndarray:
-    """Each field's exposure label code, numbering new labels in first-seen order; declines on a third label."""
+    """Each field's exposure label code, new labels coded in first-seen order; declines on a third."""
     names = _names(a, starts, ends)
     codes = np.full(len(names), -1, dtype=np.int8)
     for label, code in labels.items():

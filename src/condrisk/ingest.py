@@ -274,7 +274,9 @@ def _parse(source, plain, fallback):
     return fallback(source)
 
 
-def _wide_dataset(ids, labels: dict, label: np.ndarray, y: np.ndarray, exposed_value: str) -> LongitudinalDataset:
+def _wide_dataset(
+    ids, labels: dict, label: np.ndarray, y: np.ndarray, exposed_value: str,
+) -> LongitudinalDataset:
     """The dataset of a wide file's rows: id, exposure label code and outcome codes of each.
 
     labels maps each exposure label to its code, in first-seen order.
