@@ -328,7 +328,7 @@ def _long_dataset(
 def _kept(ids, keep: np.ndarray) -> tuple:
     """The ids where keep holds, as str; ids is an iterable of str or an array of ASCII bytes."""
     if isinstance(ids, np.ndarray):
-        return tuple(ids[keep].astype(str).tolist())
+        return tuple(map(bytes.decode, ids[keep].tolist()))
     return tuple(compress(ids, keep.tolist()))
 
 
