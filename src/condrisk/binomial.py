@@ -57,13 +57,18 @@ class _LogFactorialTable:
             return
         with self._lock:
             hi, lo = self._hi, self._lo
+            hi_append, lo_append, log = hi.append, lo.append, math.log
             s, e = hi[-1], lo[-1]
             for i in range(len(hi), n + 1):
-                s, err = _two_sum(s, math.log(i))
-                e = e + err
-                s, e = s + e, e - ((s + e) - s)  # renormalize
-                hi.append(s)
-                lo.append(e)
+                # _two_sum(s, log i) inlined, then e += its residual
+                x = log(i)
+                t = s + x
+                bb = t - s
+                e = e + ((s - (t - bb)) + (x - bb))
+                u = t + e  # renormalize
+                s, e = u, e - (u - t)
+                hi_append(s)
+                lo_append(e)
 
     def arrays(self, n: int):
         """Read-only float64 views of ln(k!) (hi, lo) for k = 0..n.

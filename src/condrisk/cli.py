@@ -10,18 +10,21 @@ command overwrites byte-identical outputs.
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 # condrisk makes no BLAS call, so NumPy need not start an OpenBLAS thread
 # pool; set before the first submodule imports NumPy.  A value the user
 # set still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import compare as compare_mod
-from . import coverage as coverage_mod
-from . import ingest, mc
 from ._version import __version__
 from .errors import DegenerateTableError, DomainError, ParseError
+
+# Each command imports its own modules in its handler, so a process loads
+# only what it runs: `--version` and `compare` load no NumPy, and no
+# command loads another's modules.  The parser therefore keeps this copy of
+# mc.MARGIN_MODELS (a test pins the two together); compare's default axes
+# stay in compare.compare_grid, which gets only the axes given.
+MARGIN_MODELS = ("fixed_margin", "cohort")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,13 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_coverage)
 
     p = sub.add_parser("compare", help="population crude-vs-conditional ratio sweep")
-    p.add_argument("--pi-e", type=float, nargs="+", default=list(compare_mod.DEFAULT_PI_AXIS),
+    p.add_argument("--pi-e", type=float, nargs="+",
                    help="exposed marginal probabilities")
-    p.add_argument("--pi-ne", type=float, nargs="+", default=list(compare_mod.DEFAULT_PI_AXIS),
+    p.add_argument("--pi-ne", type=float, nargs="+",
                    help="non-exposed marginal probabilities")
-    p.add_argument("--rho-e", type=float, nargs="+", default=list(compare_mod.DEFAULT_RHO_AXIS),
+    p.add_argument("--rho-e", type=float, nargs="+",
                    help="exposed within-subject correlations")
-    p.add_argument("--rho-ne", type=float, nargs="+", default=list(compare_mod.DEFAULT_RHO_AXIS),
+    p.add_argument("--rho-ne", type=float, nargs="+",
                    help="non-exposed within-subject correlations")
     p.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
     p.set_defaults(func=_cmd_compare)
@@ -130,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--reps", type=_positive_int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--margin-model", choices=mc.MARGIN_MODELS, default="fixed_margin")
+    p.add_argument("--margin-model", choices=MARGIN_MODELS, default="fixed_margin")
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="worker processes (output independent of this)")
     p.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
@@ -147,6 +150,8 @@ def _write_out(writer, records, out: str) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    from . import ingest
+
     parse = ingest.parse_long_dataset if args.long else ingest.parse_dataset
     dataset = parse(args.input, args.exposed_value)
     report = ingest.analyze(
@@ -162,6 +167,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
+    from dataclasses import replace
+
+    from . import coverage as coverage_mod
+
     if args.paper_grid:
         grid = coverage_mod.paper_grid()
     else:
@@ -182,11 +191,12 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import compare as compare_mod
+
+    given = {"pi_e_axis": args.pi_e, "pi_ne_axis": args.pi_ne,
+             "rho_e_axis": args.rho_e, "rho_ne_axis": args.rho_ne}
     records = compare_mod.compare_grid(
-        pi_e_axis=tuple(args.pi_e),
-        pi_ne_axis=tuple(args.pi_ne),
-        rho_e_axis=tuple(args.rho_e),
-        rho_ne_axis=tuple(args.rho_ne),
+        **{name: tuple(axis) for name, axis in given.items() if axis is not None}
     )
     _write_out(compare_mod.write_compare_csv, records, args.out)
     if args.out != "-":
@@ -197,6 +207,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import mc
+
     record = mc.oracle_record(
         n_e=args.n_e, n_ne=args.n_ne,
         pi_e=args.pi_e, pi_ne=args.pi_ne,

@@ -19,7 +19,6 @@ import math
 import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -322,6 +321,13 @@ def _evaluate_point(args) -> GridRecord:
     return GridRecord(n_e, n_ne, pi_e, pi_ne, rho_e, rho_ne, stratum, level, result)
 
 
+def _process_pool(max_workers: int):
+    """A ProcessPoolExecutor; concurrent.futures is imported only when a pool starts."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def run_grid(grid: GridSpec, prune_epsilon: float | None = None, threads: int = 1) -> list:
     """Evaluate every grid point, in grid order, flagging inadmissible ones.
 
@@ -337,7 +343,7 @@ def run_grid(grid: GridSpec, prune_epsilon: float | None = None, threads: int = 
         if workers <= 1:
             return [_evaluate_point(item) for item in items]
         chunk = max(1, len(items) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             return list(pool.map(_evaluate_point, items, chunksize=chunk))
     finally:
         _clear_margins()

@@ -31,7 +31,6 @@ number of replications.
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,6 +267,13 @@ def _count_reps_args(args) -> tuple[int, int]:
     return _count_reps(*args)
 
 
+def _process_pool(max_workers: int):
+    """A ProcessPoolExecutor; concurrent.futures is imported only when a pool starts."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 @dataclass(frozen=True)
 class MCCoverage:
     """Replication-based coverage estimate.
@@ -314,7 +320,7 @@ def mc_coverage(
     else:
         covered = 0
         nondegenerate = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             for cov, nd in pool.map(_count_reps_args, jobs):
                 covered += cov
                 nondegenerate += nd

@@ -7,7 +7,9 @@ The loop oracles keep the entry-by-entry scans that the package's
 vectorised neumaier_sum and prune_window must reproduce bit for bit, the
 row-by-row parsers, table count and risks that the columnar ingest must
 reproduce exactly, and the replication-by-replication Monte-Carlo count
-that the batched oracle must reproduce exactly.
+that the batched oracle must reproduce exactly.  mask_cover_sums is the
+coverage kernel as it was before its separable test: the interval of every
+cell from log_wald_bounds, row sums of np.where arrays, then math.fsum.
 """
 
 import csv
@@ -18,7 +20,7 @@ from scipy.stats import binom as _sbinom
 
 from condrisk.coverage import true_conditional_risks
 from condrisk.errors import ParseError
-from condrisk.measures import StratifiedTables, StratumTable, stratum_rr_estimate
+from condrisk.measures import StratifiedTables, StratumTable, log_wald_bounds, stratum_rr_estimate
 from condrisk.model import cond_prob_given0, cond_prob_given1
 
 
@@ -43,6 +45,43 @@ def brute_coverage(scenario):
     nondegen_a = math.fsum(pa[1:scenario.n_e])
     nondegen_c = math.fsum(pc[1:scenario.n_ne])
     return math.fsum(cover), math.fsum(noncover), 1.0 - nondegen_a * nondegen_c
+
+
+def log_wald_mask(a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z, true_rr):
+    """Coverage mask of the window: log_wald_bounds' interval of every (a, c) against true_rr."""
+    a = np.arange(a_lo, a_hi + 1, dtype=np.float64)[:, None]
+    c = np.arange(c_lo, c_hi + 1, dtype=np.float64)
+    _, _, lower, upper = log_wald_bounds(a, n_e, c, n_ne, z, xp=np)
+    return (lower <= true_rr) & (true_rr <= upper)
+
+
+def mask_cover_sums(pa, pc, a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z, true_rr):
+    """(cover, noncover) from log_wald_mask: pa[a] times each row's np.where sum, then math.fsum."""
+    covered = log_wald_mask(a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z, true_rr)
+    pc_window = pc[c_lo:c_hi + 1]
+    weight = pa[a_lo:a_hi + 1]
+    cover = weight * np.where(covered, pc_window, 0.0).sum(axis=1)
+    noncover = weight * np.where(covered, 0.0, pc_window).sum(axis=1)
+    return math.fsum(cover.tolist()), math.fsum(noncover.tolist())
+
+
+def loop_log_factorial(n):
+    """ln(k!) for k = 0..n as double-double (hi, lo) lists, one two-sum per log k."""
+
+    def two_sum(x, y):
+        s = x + y
+        bb = s - x
+        return s, (x - (s - bb)) + (y - bb)
+
+    hi, lo = [0.0, 0.0], [0.0, 0.0]
+    s, e = 0.0, 0.0
+    for i in range(2, n + 1):
+        s, err = two_sum(s, math.log(i))
+        e = e + err
+        s, e = s + e, e - ((s + e) - s)
+        hi.append(s)
+        lo.append(e)
+    return hi[:n + 1], lo[:n + 1]
 
 
 def loop_neumaier_sum(values, start=0, stop=None):

@@ -17,7 +17,7 @@ from condrisk.binomial import (
 )
 from condrisk.errors import DomainError
 
-from _oracles import loop_neumaier_sum, loop_prune_window
+from _oracles import loop_log_factorial, loop_neumaier_sum, loop_prune_window
 
 mp.mp.dps = 50
 
@@ -215,6 +215,13 @@ class TestScansMatchLoopOracles:
 
 
 class TestLogFactorialArrays:
+    def test_table_matches_loop_oracle_bitwise(self):
+        table = _LogFactorialTable()
+        for n in (1, 2, 17, 1000, 10**5):  # grown in steps, as requests arrive
+            table.ensure(n)
+        hi, lo = loop_log_factorial(10**5)
+        assert table._hi == hi and table._lo == lo
+
     def test_arrays_are_kept_and_match_the_table(self):
         table = _LogFactorialTable()
         hi, lo = table.arrays(50)

@@ -145,9 +145,59 @@ class TestLazyPackage:
 
     @pytest.mark.parametrize("given, want", [(None, "1"), ("3", "3")])
     def test_cli_runs_one_openblas_thread_unless_told(self, given, want):
-        code = "import os, sys, condrisk.cli; print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])"
+        # an import hook records the variable at the moment NumPy is first
+        # imported, here by a command that needs it
+        code = (
+            "import contextlib, io, os, sys\n"
+            "seen = []\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy':\n"
+            "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS', '-'))\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "from condrisk.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['oracle', '--n-e', '9', '--n-ne', '9', '--pi-e', '0.3', '--pi-ne', '0.3',\n"
+            "          '--rho-e', '0.1', '--rho-ne', '0.1', '--reps', '1', '--out', '-'])\n"
+            "print('numpy' in sys.modules, *seen)\n"
+        )
         env = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
         assert _python(code, **env) == ["True", want]
+
+
+class TestImportSet:
+    """A command loads only the modules it runs (fresh interpreter)."""
+
+    @pytest.mark.parametrize("command", ["version", "coverage", "analyze", "compare"])
+    def test_command_loads_only_its_modules(self, command, dataset, grid_file, tmp_path):
+        argv, loaded, absent = {  # argv, modules it loads, modules it must not load
+            "version": (["--version"], (), ("numpy",)),
+            "coverage": (["coverage", "--grid", str(grid_file), "--threads", "1",
+                          "--out", str(tmp_path / "cov.csv")],
+                         ("condrisk.coverage",),
+                         ("condrisk.ingest", "condrisk.mc", "concurrent.futures")),
+            "analyze": (["analyze", "--input", str(dataset), "--exposed-value", "150",
+                         "--out", str(tmp_path / "report")],
+                        ("condrisk.ingest",), ("condrisk.coverage", "condrisk.mc")),
+            "compare": (["compare", "--out", str(tmp_path / "cmp.csv")],
+                        ("condrisk.compare",), ("numpy",)),
+        }[command]
+        code = (
+            "import contextlib, io, sys\n"
+            "from condrisk.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            f"        status = main({argv!r})\n"
+            "    except SystemExit as exc:\n"
+            "        status = exc.code\n"
+            f"print(status, *(name in sys.modules for name in {loaded + absent!r}))\n"
+        )
+        assert _python(code) == ["0"] + ["True"] * len(loaded) + ["False"] * len(absent)
+
+    def test_parser_margin_models_match_mc(self):
+        from condrisk import cli, mc
+        assert cli.MARGIN_MODELS == mc.MARGIN_MODELS
+
 
 class TestAnalyze:
     def run(self, dataset, out_dir, *extra):

@@ -6,13 +6,16 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import binom
 
-from condrisk import __version__, coverage
+from condrisk import __version__, _backend, coverage
 from condrisk._backend import _BLOCK_CELLS
+from condrisk.binomial import pmf_vector
 from condrisk.coverage import (
     COVERAGE_CSV_HEADER,
     CoverageResult,
@@ -28,8 +31,9 @@ from condrisk.coverage import (
     write_coverage_csv,
 )
 from condrisk.errors import DomainError, ParseError
+from condrisk.measures import log_wald_bounds
 
-from _oracles import brute_coverage
+from _oracles import brute_coverage, log_wald_mask, mask_cover_sums
 
 
 class TestScenario:
@@ -192,6 +196,77 @@ class TestExactCoverage:
             exact_coverage(s, 1e-6)
 
 
+def _window_bounds(a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z):
+    """(lower, upper) of log_wald_bounds over the window, as the kernel's arrays hold them."""
+    a = np.arange(a_lo, a_hi + 1, dtype=np.float64)[:, None]
+    c = np.arange(c_lo, c_hi + 1, dtype=np.float64)
+    _, _, lower, upper = log_wald_bounds(a, n_e, c, n_ne, z, xp=np)
+    return lower, upper
+
+
+def _kernel_mask(args):
+    """The kernel's mask of the whole window, its blocks stacked."""
+    return np.concatenate([covered.copy() for _, covered in _backend.covered_blocks(*args)])
+
+
+@st.composite
+def kernel_windows(draw):
+    """(a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z, true_rr) of a small table.
+
+    Half the ratios are a computed bound of a cell in the window, so the
+    kernel meets cells whose test is decided inside its band.
+    """
+    n_e, n_ne = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    a_lo = draw(st.integers(1, n_e - 1))
+    a_hi = draw(st.integers(a_lo, n_e - 1))
+    c_lo = draw(st.integers(1, n_ne - 1))
+    c_hi = draw(st.integers(c_lo, n_ne - 1))
+    z = draw(st.sampled_from((1.0, 1.96, 2.576, 3.29, 4.0)))
+    if draw(st.booleans()):
+        bounds = _window_bounds(a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z)[draw(st.integers(0, 1))]
+        i = draw(st.integers(0, a_hi - a_lo))
+        j = draw(st.integers(0, c_hi - c_lo))
+        true_rr = float(bounds[i, j])
+    else:
+        true_rr = draw(st.floats(0.01, 100.0))
+    return a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z, true_rr
+
+
+class TestKernel:
+    @given(kernel_windows(), st.sampled_from((1, 7, 64, _BLOCK_CELLS)),
+           st.floats(0.05, 0.95), st.floats(0.05, 0.95))
+    @settings(max_examples=300, deadline=None)
+    def test_separable_mask_equals_log_wald_mask(self, window, block_cells, p_e, p_ne):
+        a_lo, a_hi, c_lo, c_hi, n_e, n_ne, _, _ = window
+        pa, pc = pmf_vector(n_e, p_e), pmf_vector(n_ne, p_ne)
+        with mock.patch.object(_backend, "_BLOCK_CELLS", block_cells):
+            mask = _kernel_mask(window)
+            sums = _backend.cover_sums(pa, pc, *window)
+        np.testing.assert_array_equal(mask, log_wald_mask(*window))
+        assert sums == mask_cover_sums(pa, pc, *window)
+
+    def test_ratio_on_a_bound_is_decided_again(self):
+        # true_rr is put exactly on the computed bounds of 40 cells in turn;
+        # the separable test lands within rounding of 0 there, so each cell
+        # is decided again by log_wald_bounds and must come out covered
+        n_e, n_ne, z = 30, 40, 1.96
+        window = (1, n_e - 1, 1, n_ne - 1)
+        lower, upper = _window_bounds(*window, n_e, n_ne, z)
+        pa, pc = pmf_vector(n_e, 0.3), pmf_vector(n_ne, 0.6)
+        for k in range(20):
+            i, j = k + 5, 2 * k
+            for true_rr in (float(lower[i, j]), float(upper[i, j])):
+                args = (*window, n_e, n_ne, z, true_rr)
+                with mock.patch.object(_backend, "log_wald_bounds", wraps=log_wald_bounds) as spy:
+                    mask = _kernel_mask(args)
+                spy.assert_called()
+                a_decided, _, c_decided = spy.call_args.args[:3]
+                assert (i + 1.0, j + 1.0) in zip(a_decided.tolist(), c_decided.tolist())
+                assert mask[i, j]
+                np.testing.assert_array_equal(mask, log_wald_mask(*args))
+                assert _backend.cover_sums(pa, pc, *args) == mask_cover_sums(pa, pc, *args)
+
+
 def _bits(result):
     return tuple(float(v).hex() for v in dataclasses.astuple(result))
 
@@ -329,7 +404,7 @@ class TestGrids:
 
     def test_workers_capped_by_points_and_cpus(self, monkeypatch, recording_pool):
         pool, created = recording_pool
-        monkeypatch.setattr(coverage, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(coverage, "_process_pool", pool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         grid = self.small_grid()
         serial = run_grid(grid)
