@@ -47,11 +47,17 @@ def brute_coverage(scenario):
     return math.fsum(cover), math.fsum(noncover), 1.0 - nondegen_a * nondegen_c
 
 
-def log_wald_mask(a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z, true_rr):
-    """Coverage mask of the window: log_wald_bounds' interval of every (a, c) against true_rr."""
+def log_wald_window(a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z):
+    """(lower, upper) of log_wald_bounds for every (a, c) of the window, rows a, columns c."""
     a = np.arange(a_lo, a_hi + 1, dtype=np.float64)[:, None]
     c = np.arange(c_lo, c_hi + 1, dtype=np.float64)
     _, _, lower, upper = log_wald_bounds(a, n_e, c, n_ne, z, xp=np)
+    return lower, upper
+
+
+def log_wald_mask(a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z, true_rr):
+    """Coverage mask of the window: log_wald_bounds' interval of every (a, c) against true_rr."""
+    lower, upper = log_wald_window(a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z)
     return (lower <= true_rr) & (true_rr <= upper)
 
 

@@ -33,7 +33,7 @@ from condrisk.coverage import (
 from condrisk.errors import DomainError, ParseError
 from condrisk.measures import log_wald_bounds
 
-from _oracles import brute_coverage, log_wald_mask, mask_cover_sums
+from _oracles import brute_coverage, log_wald_mask, log_wald_window, mask_cover_sums
 
 
 class TestScenario:
@@ -196,14 +196,6 @@ class TestExactCoverage:
             exact_coverage(s, 1e-6)
 
 
-def _window_bounds(a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z):
-    """(lower, upper) of log_wald_bounds over the window, as the kernel's arrays hold them."""
-    a = np.arange(a_lo, a_hi + 1, dtype=np.float64)[:, None]
-    c = np.arange(c_lo, c_hi + 1, dtype=np.float64)
-    _, _, lower, upper = log_wald_bounds(a, n_e, c, n_ne, z, xp=np)
-    return lower, upper
-
-
 def _kernel_mask(args):
     """The kernel's mask of the whole window, its blocks stacked."""
     return np.concatenate([covered.copy() for _, covered in _backend.covered_blocks(*args)])
@@ -223,7 +215,7 @@ def kernel_windows(draw):
     c_hi = draw(st.integers(c_lo, n_ne - 1))
     z = draw(st.sampled_from((1.0, 1.96, 2.576, 3.29, 4.0)))
     if draw(st.booleans()):
-        bounds = _window_bounds(a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z)[draw(st.integers(0, 1))]
+        bounds = log_wald_window(a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z)[draw(st.integers(0, 1))]
         i = draw(st.integers(0, a_hi - a_lo))
         j = draw(st.integers(0, c_hi - c_lo))
         true_rr = float(bounds[i, j])
@@ -251,7 +243,7 @@ class TestKernel:
         # is decided again by log_wald_bounds and must come out covered
         n_e, n_ne, z = 30, 40, 1.96
         window = (1, n_e - 1, 1, n_ne - 1)
-        lower, upper = _window_bounds(*window, n_e, n_ne, z)
+        lower, upper = log_wald_window(*window, n_e, n_ne, z)
         pa, pc = pmf_vector(n_e, 0.3), pmf_vector(n_ne, 0.6)
         for k in range(20):
             i, j = k + 5, 2 * k
