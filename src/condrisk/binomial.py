@@ -108,23 +108,13 @@ def binom_log_pmf(n: int, k: int, p: float) -> float:
         return 0.0 if k == n else -math.inf
     _LFACT.ensure(n)
     hi, lo = _LFACT._hi, _LFACT._lo
-    # logC = lfact[n] - lfact[k] - lfact[n-k], exactly in dd
-    s, e = _two_sum(hi[n], -hi[k])
-    e = e + (lo[n] - lo[k])
-    s, e2 = _two_sum(s, -hi[n - k])
-    e = e + e2 - lo[n - k]
-    # add k ln p and (n-k) ln(1-p) via error-free products
-    for count, logterm in ((k, math.log(p)), (n - k, math.log1p(-p))):
-        ph, pl = _two_prod(float(count), logterm)
-        s, e2 = _two_sum(s, ph)
-        e = e + e2 + pl
-    return s + e
+    return _log_pmf(hi[n], lo[n], hi[k], lo[k], hi[n - k], lo[n - k], float(k), float(n - k), p)
 
 
 def log_pmf_vector(n: int, p: float) -> np.ndarray:
     """ln pmf of Binomial(n, p) at every k = 0..n.
 
-    Same double-double combination as :func:`binom_log_pmf`, vectorized;
+    The same :func:`_log_pmf` as :func:`binom_log_pmf`, on arrays;
     the two paths agree bit-for-bit.
     """
     if not 0.0 <= p <= 1.0:
@@ -135,11 +125,21 @@ def log_pmf_vector(n: int, p: float) -> np.ndarray:
         return out
     hi, lo = _LFACT.arrays(n)
     k = np.arange(n + 1, dtype=np.float64)
-    s, e = _two_sum(hi[n], -hi)
-    e = e + (lo[n] - lo)
-    s, e2 = _two_sum(s, -hi[::-1])
-    e = e + e2 - lo[::-1]
-    for count, logterm in ((k, math.log(p)), (k[::-1], math.log1p(-p))):
+    return _log_pmf(hi[n], lo[n], hi, lo, hi[::-1], lo[::-1], k, k[::-1], p)
+
+
+def _log_pmf(hi_n, lo_n, hi_k, lo_k, hi_r, lo_r, k, r, p):
+    """ln C(n,k) + k ln p + r ln(1-p), r = n - k, in double-double; works elementwise.
+
+    (hi_x, lo_x) is ln(x!) as a double-double pair; k and r are floats.
+    """
+    # logC = lfact[n] - lfact[k] - lfact[r], exactly in dd
+    s, e = _two_sum(hi_n, -hi_k)
+    e = e + (lo_n - lo_k)
+    s, e2 = _two_sum(s, -hi_r)
+    e = e + e2 - lo_r
+    # add k ln p and r ln(1-p) via error-free products
+    for count, logterm in ((k, math.log(p)), (r, math.log1p(-p))):
         ph, pl = _two_prod(count, logterm)
         s, e2 = _two_sum(s, ph)
         e = e + e2 + pl

@@ -5,20 +5,21 @@ long (header id,exposure,visit,y: one row per observation).  A plain
 file (see _plaincsv) is read as bytes and split into fields with array
 operations.  That path raises no ParseError: on any other input, or any
 faulty row, it declines and the csv reader parses the input from the
-start.  The csv path reads blocks of _BLOCK_ROWS rows and checks each
-block with array operations; the first offending row raises ParseError
-with its line number, as a row-by-row reader would.  Both paths end in
-the same code, so their datasets are equal.
+start, one row at a time; the first faulty row raises ParseError with
+its line number.  Both paths end in the same code, so their datasets are
+equal.
 
 Subjects with any missing outcome are dropped and counted (complete-case
 rule).  A dataset holds only complete subjects, as columns: their ids, a
 read-only exposure flag per subject and a read-only subjects x visits
 int8 outcome matrix; Subject records are built only on request.  Parsing
-holds one block of input and, per row, its id and a few bytes of codes;
-the csv reader keeps a long file's ids as an id table.  A long file
-whose largest visit exceeds its number of observation rows is rejected,
-since no subject can then have every visit, so parse and analysis work
-stay linear in the input size.
+holds one block of input (on the csv path, one row) and, per row, its id
+and a few bytes of codes; the csv reader keeps a long file's ids as an
+id table, and the (subject, visit) of each row in a set, so that a
+duplicate visit is found at its row.  A long file whose largest visit
+exceeds its number of observation rows is rejected, since no subject can
+then have every visit, so parse and analysis work stay linear in the
+input size.
 
 For each requested visit pair (j, k) the analysis stratifies the time-j
 exposure-by-outcome table on the time-k outcome (one bincount) and
@@ -31,8 +32,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import itemgetter
+from itertools import compress
 
 import numpy as np
 
@@ -56,12 +56,8 @@ MEASURES_CSV_HEADER = "j,k,measure,point,ci_lower,ci_upper,rho_E,rho_nonE"
 GROUP_EXPOSED = "E"
 GROUP_UNEXPOSED = "nonE"
 
-_BLOCK_ROWS = 1 << 12  # rows the csv reader path holds at once
 _OUTCOME_CODES = {"0": 0, "1": 1, "": _EMPTY}
 _BAD = 3  # outcome code of any other token
-# Visits at or above this are coded _VISIT_CAP + the rank of their first
-# appearance, so that every visit fits int64 and equal visits stay equal.
-_VISIT_CAP = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -123,9 +119,6 @@ class LongitudinalDataset:
 
 
 def _check_exposure_labels(values_seen: dict, exposed_value: str, any_rows: bool) -> tuple[str, str]:
-    if len(values_seen) > 2:
-        labels = ", ".join(repr(v) for v in values_seen)
-        raise ParseError(f"exposure column has more than two values: {labels}")
     if any_rows and exposed_value not in values_seen:
         labels = ", ".join(repr(v) for v in values_seen) or "none"
         raise ParseError(
@@ -146,86 +139,23 @@ def _read_header(reader) -> list:
     raise ParseError("empty file")
 
 
-def _row_blocks(reader):
-    """The non-blank rows after the header, at most _BLOCK_ROWS at a time.
+def _rows(reader):
+    """The non-blank rows after the header, each with its line number.
 
-    Yields (rows, lines): each row's line number is reader.line_num after
-    it, the last line of a row that a quoted newline spans.
+    A row's line number is reader.line_num after it, the last line of a
+    row that a quoted newline spans.
     """
-    rows, lines = [], []
     for row in reader:
         if (row and row[0].strip()) or not _blank(row):  # a non-empty id settles most rows
-            rows.append(row)
-            lines.append(reader.line_num)
-            if len(rows) == _BLOCK_ROWS:
-                yield rows, lines
-                rows, lines = [], []
-    if rows:
-        yield rows, lines
+            yield row, reader.line_num
 
 
-class _Block:
-    """A block of rows checked stage by stage, in the order a row is checked.
-
-    check() records the first row a stage rejects and cuts the block
-    before it, so each later stage sees only rows that passed every
-    earlier one; the error left at the end is the first offending row's
-    first fault.
-    """
-
-    def __init__(self, rows, lines):
-        self.rows, self.lines = rows, lines
-        self.error = None
-
-    def check(self, bad, message) -> None:
-        hits = np.flatnonzero(bad[:len(self.rows)])
-        if hits.size:
-            i = int(hits[0])
-            self.error = ParseError(message(i), line=self.lines[i])
-            self.rows, self.lines = self.rows[:i], self.lines[:i]
-
-    def column(self, index: int) -> list:
-        return list(map(str.strip, map(itemgetter(index), self.rows)))
-
-    def check_field_count(self, width: int) -> None:
-        lengths = np.fromiter(map(len, self.rows), dtype=np.int64, count=len(self.rows))
-        self.check(lengths != width, lambda i: f"expected {width} fields, got {lengths[i]}")
-
-    def check_labels(self, labels: dict) -> np.ndarray:
-        """Label codes in first-seen order; a third label is a fault."""
-        names = self.column(1)
-        codes = _numbers(names, labels)
-        self.check(codes >= 2, lambda i: f"exposure column has more than two values (third value {names[i]!r})")
-        return codes[:len(self.rows)]
-
-
-def _numbers(keys: list, table: dict) -> np.ndarray:
-    """Each key's number in table; a key not yet in it gets the next number."""
-    return np.array([table.setdefault(key, len(table)) for key in keys], dtype=np.int64)
-
-
-def _ints(tokens: list) -> list:
-    """int() of each token, stopping before the first that is not an integer."""
-    try:
-        return list(map(int, tokens))
-    except ValueError:
-        values = []
-        for token in tokens:
-            try:
-                values.append(int(token))
-            except ValueError:
-                break
-        return values
-
-
-def _visit_codes(visits: list, huge: dict) -> np.ndarray:
-    """Visits as int64; negatives (rejected later) become 0, huge ones are ranked."""
-    if visits and (min(visits) < 0 or max(visits) >= _VISIT_CAP):
-        visits = [
-            max(v, 0) if v < _VISIT_CAP else _VISIT_CAP + huge.setdefault(v, len(huge))
-            for v in visits
-        ]
-    return np.array(visits, dtype=np.int64)
+def _label_code(labels: dict, label: str, line: int) -> int:
+    """The code of an exposure label, a new one coded in first-seen order; a third is a fault."""
+    code = labels.setdefault(label, len(labels))
+    if code >= 2:
+        raise ParseError(f"exposure column has more than two values (third value {label!r})", line=line)
+    return code
 
 
 def parse_dataset(source, exposed_value: str) -> LongitudinalDataset:
@@ -344,102 +274,22 @@ def _csv_wide(handle) -> tuple:
             line=reader.line_num,
         )
     labels = {}
-    ids, codes, outcomes = [], [np.empty(0, np.int64)], [np.empty((0, n_visits), np.int8)]
-    for rows, lines in _row_blocks(reader):
-        block = _Block(rows, lines)
-        block.check_field_count(n_visits + 2)
-        label_codes = block.check_labels(labels)
-        y = np.array(
-            [_OUTCOME_CODES.get(t.strip(), _BAD) for row in block.rows for t in row[2:]],
-            dtype=np.int8,
-        ).reshape(len(block.rows), n_visits)
-        bad = y == _BAD
-        block.check(
-            bad.any(axis=1),
-            lambda i: "outcome value must be 0, 1, or empty, got "
-                      f"{block.rows[i][2 + int(bad[i].argmax())].strip()!r}",
-        )
-        if block.error is not None:
-            raise block.error
-        ids.extend(block.column(0))
-        codes.append(label_codes)
-        outcomes.append(y)
-    return ids, labels, np.concatenate(codes), np.concatenate(outcomes)
-
-
-class _Observations:
-    """The long file's accepted rows as columns: subject, visit code, outcome code, line."""
-
-    def __init__(self):
-        self.index = {}  # subject id -> subject number, in first-seen order
-        self.labels = {}  # exposure label -> code, in first-seen order
-        self.subject_label = np.empty(0, dtype=np.int64)
-        self.huge = {}  # visit >= _VISIT_CAP -> rank
-        # per column, its blocks' arrays; columns() joins each into one
-        self.parts = tuple([np.empty(0, dtype)] for dtype in (np.int64, np.int64, np.int8, np.int64))
-        self.max_visit, self.max_line = 0, None
-
-    def add(self, rows, lines) -> None:
-        """Check one block and keep its rows; raise at the first offending row."""
-        block = _Block(rows, lines)
-        block.check_field_count(4)
-        tokens = block.column(2)
-        visits = _ints(tokens)
-        block.check(
-            np.arange(len(tokens)) >= len(visits),
-            lambda i: f"visit must be an integer, got {tokens[i]!r}",
-        )
-        codes = _visit_codes(visits, self.huge)
-        block.check(codes < 1, lambda i: f"visit must be >= 1, got {visits[i]}")
-        y_tokens = block.column(3)
-        y = np.fromiter(map(_OUTCOME_CODES.get, y_tokens, repeat(_BAD)), dtype=np.int8, count=len(y_tokens))
-        block.check(y == _BAD, lambda i: f"outcome value must be 0, 1, or empty, got {y_tokens[i]!r}")
-        label = block.check_labels(self.labels)
-        sids = block.column(0)
-        subject = _numbers(sids, self.index)
-        self._label_new_subjects(subject, label)
-        names = list(self.labels)
-        first = self.subject_label[subject]
-        block.check(
-            label != first,
-            lambda i: f"subject {sids[i]!r} has conflicting exposure labels "
-                      f"{names[first[i]]!r} and {names[label[i]]!r}",
-        )
-        n = len(block.rows)
-        for parts, column in zip(self.parts, (subject, codes, y, np.array(block.lines, dtype=np.int64))):
-            parts.append(column[:n])
-        top = max(visits[:n], default=0)
-        if top > self.max_visit:
-            self.max_visit, self.max_line = top, block.lines[visits.index(top)]
-        if block.error is not None:
-            self.check_duplicates()
-            raise block.error
-
-    def _label_new_subjects(self, subject, label) -> None:
-        """Give each subject first seen in this block the label of its first row."""
-        is_new = subject >= len(self.subject_label)
-        _, first_row = np.unique(subject[is_new], return_index=True)
-        rows = np.flatnonzero(is_new)[first_row]
-        self.subject_label = np.concatenate((self.subject_label, label[rows]))
-
-    def columns(self):
-        """(subject, visit code, outcome code, line) over every row kept."""
-        for parts in self.parts:
-            parts[:] = [np.concatenate(parts)]  # one column at a time bounds the copy
-        return tuple(parts[0] for parts in self.parts)
-
-    def check_duplicates(self) -> None:
-        """Raise at the first row whose (subject, visit) an earlier row has."""
-        subject, codes, _, lines = self.columns()
-        order = np.lexsort((np.arange(len(subject)), codes, subject))  # equal keys in file order
-        repeat = (subject[order[1:]] == subject[order[:-1]]) & (codes[order[1:]] == codes[order[:-1]])
-        if repeat.any():
-            row = int(order[1:][repeat].min())
-            visit = int(codes[row])
-            if visit >= _VISIT_CAP:
-                visit = next(v for v, rank in self.huge.items() if rank == visit - _VISIT_CAP)
-            sid = next(s for s, number in self.index.items() if number == subject[row])
-            raise ParseError(f"duplicate visit {visit} for subject {sid!r}", line=int(lines[row]))
+    ids, codes, outcomes = [], bytearray(), bytearray()
+    for row, line in _rows(reader):
+        if len(row) != n_visits + 2:
+            raise ParseError(f"expected {n_visits + 2} fields, got {len(row)}", line=line)
+        code = _label_code(labels, row[1].strip(), line)
+        tokens = [t.strip() for t in row[2:]]
+        y = [_OUTCOME_CODES.get(t, _BAD) for t in tokens]
+        if _BAD in y:
+            raise ParseError(
+                f"outcome value must be 0, 1, or empty, got {tokens[y.index(_BAD)]!r}", line=line
+            )
+        ids.append(row[0].strip())
+        codes.append(code)
+        outcomes.extend(y)
+    y = np.frombuffer(outcomes, dtype=np.int8).reshape(-1, n_visits)
+    return ids, labels, np.frombuffer(codes, dtype=np.int8), y
 
 
 def _csv_long(handle) -> tuple:
@@ -451,21 +301,59 @@ def _csv_long(handle) -> tuple:
             f"header must be id,exposure,visit,y, got {','.join(header)}",
             line=reader.line_num,
         )
-    obs = _Observations()
-    for rows, lines in _row_blocks(reader):
-        obs.add(rows, lines)
-    obs.check_duplicates()
-    subject, visit, y, _ = obs.columns()
-    n_visits = obs.max_visit
-    if n_visits > len(subject):
+    index = {}  # subject id -> subject number, in first-seen order
+    labels = {}  # exposure label -> code, in first-seen order
+    subject_label = bytearray()  # label code per subject number
+    subjects, visits, outcomes = [], [], bytearray()
+    seen = set()  # (subject number, visit) of every row
+    max_visit, max_line = 0, None
+    for row, line in _rows(reader):
+        if len(row) != 4:
+            raise ParseError(f"expected 4 fields, got {len(row)}", line=line)
+        token = row[2].strip()
+        try:
+            visit = int(token)
+        except ValueError:
+            raise ParseError(f"visit must be an integer, got {token!r}", line=line) from None
+        if visit < 1:
+            raise ParseError(f"visit must be >= 1, got {visit}", line=line)
+        token = row[3].strip()
+        y = _OUTCOME_CODES.get(token, _BAD)
+        if y == _BAD:
+            raise ParseError(f"outcome value must be 0, 1, or empty, got {token!r}", line=line)
+        code = _label_code(labels, row[1].strip(), line)
+        sid = row[0].strip()
+        subject = index.setdefault(sid, len(index))
+        if subject == len(subject_label):
+            subject_label.append(code)
+        elif subject_label[subject] != code:
+            names = list(labels)
+            raise ParseError(
+                f"subject {sid!r} has conflicting exposure labels "
+                f"{names[subject_label[subject]]!r} and {names[code]!r}",
+                line=line,
+            )
+        if (subject, visit) in seen:
+            raise ParseError(f"duplicate visit {visit} for subject {sid!r}", line=line)
+        seen.add((subject, visit))
+        subjects.append(subject)
+        visits.append(visit)
+        outcomes.append(y)
+        if visit > max_visit:
+            max_visit, max_line = visit, line
+    if max_visit > len(visits):
         raise ParseError(
-            f"visit {n_visits} exceeds the number of observation rows ({len(subject)}), "
+            f"visit {max_visit} exceeds the number of observation rows ({len(visits)}), "
             "so no subject can have every visit",
-            line=obs.max_line,
+            line=max_line,
         )
-    if n_visits < 2:
+    if max_visit < 2:
         raise ParseError("need outcomes for at least 2 visits")
-    return obs.index, obs.labels, obs.subject_label, subject, visit, y, n_visits
+    return (
+        index, labels, np.frombuffer(subject_label, dtype=np.int8),
+        np.array(subjects, dtype=np.int64), np.array(visits, dtype=np.int64),
+        np.frombuffer(outcomes, dtype=np.int8), max_visit,
+    )
 
 
 def build_conditional_tables(data: LongitudinalDataset, j: int, k: int) -> StratifiedTables:

@@ -201,11 +201,19 @@ class TestParseLong:
         ds = parse_long_dataset(io.StringIO(text), exposed_value="150")
         assert ds.dropped_incomplete == 1
 
-    def test_duplicate_visit(self):
-        text = LONG_TEXT + "s1,150,2,1\n"
-        with pytest.raises(ParseError, match="duplicate visit") as exc:
-            parse_long_dataset(io.StringIO(text), exposed_value="150")
-        assert exc.value.line == 11
+    # (rows added to LONG_TEXT, message, line): a visit past int64 is
+    # compared as given, and the row-count bound names the largest.
+    @pytest.mark.parametrize("extra, message, line", [
+        ("s1,150,2,1\n", "duplicate visit 2 for subject 's1'", 11),
+        ("s1,150,99999999999999999999999,1\ns1,150,99999999999999999999999,0\n",
+         "duplicate visit 99999999999999999999999 for subject 's1'", 12),
+        ("s1,150,99999999999999999999999,1\ns2,100,99999999999999999999998,0\n",
+         "visit 99999999999999999999999 exceeds the number of observation rows", 11),
+    ], ids=["small", "huge twice", "two huge"])
+    def test_duplicate_visit(self, extra, message, line):
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_long_dataset(io.StringIO(LONG_TEXT + extra), exposed_value="150")
+        assert exc.value.line == line
 
     def test_conflicting_exposure(self):
         text = LONG_TEXT.replace("s1,150,3,1", "s1,100,3,1")
@@ -371,28 +379,44 @@ def _parsed(parse, source, exposed_value):
             ds.dropped_incomplete, ds.exposed_label, ds.unexposed_label)
 
 
-# Rows per csv block with bytes per plain block; a test id names the rows.
-_BLOCKS = [(1, 1), (2, 7), (3, 64), (ingest._BLOCK_ROWS, _plaincsv.BLOCK_BYTES)]
+# Bytes per plain block; a test id names the size.
+_BLOCK_BYTES = [1, 7, 64, _plaincsv.BLOCK_BYTES]
 
 
 class TestParsersAgainstLoopOracles:
-    @pytest.mark.parametrize("block_rows, block_bytes", _BLOCKS, ids=[str(rows) for rows, _ in _BLOCKS])
+    @pytest.mark.parametrize("block_bytes", _BLOCK_BYTES, ids=str)
     @given(text=long_texts(), exposed_value=st.sampled_from(_EXPOSED_VALUES))
     @settings(max_examples=300, deadline=None)
-    def test_long(self, block_rows, block_bytes, text, exposed_value):
+    def test_long(self, block_bytes, text, exposed_value):
         want = _parsed(loop_parse_long, text, exposed_value)
-        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows), \
-                mock.patch.object(_plaincsv, "BLOCK_BYTES", block_bytes):
+        with mock.patch.object(_plaincsv, "BLOCK_BYTES", block_bytes):
             assert _parsed(parse_long_dataset, text, exposed_value) == want
 
-    @pytest.mark.parametrize("block_rows, block_bytes", _BLOCKS, ids=[str(rows) for rows, _ in _BLOCKS])
+    @pytest.mark.parametrize("block_bytes", _BLOCK_BYTES, ids=str)
     @given(text=wide_texts(), exposed_value=st.sampled_from(_EXPOSED_VALUES))
     @settings(max_examples=300, deadline=None)
-    def test_wide(self, block_rows, block_bytes, text, exposed_value):
+    def test_wide(self, block_bytes, text, exposed_value):
         want = _parsed(loop_parse_wide, text, exposed_value)
-        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows), \
-                mock.patch.object(_plaincsv, "BLOCK_BYTES", block_bytes):
+        with mock.patch.object(_plaincsv, "BLOCK_BYTES", block_bytes):
             assert _parsed(parse_dataset, text, exposed_value) == want
+
+    # A row that breaks two rules reports the one the loop checks first.
+    @pytest.mark.parametrize("parse, oracle, text, row", [
+        (parse_long_dataset, loop_parse_long, LONG_TEXT, "s4,Z,x,1,0"),  # field count, third label
+        (parse_long_dataset, loop_parse_long, LONG_TEXT, "s4,Z,0,1"),  # visit, third label
+        (parse_long_dataset, loop_parse_long, LONG_TEXT, "s4,Z,1,2"),  # outcome, third label
+        (parse_long_dataset, loop_parse_long, LONG_TEXT, "s1,100,1,2"),  # outcome, conflicting label
+        (parse_long_dataset, loop_parse_long, LONG_TEXT, "s1,Z,1,1"),  # third label, duplicate
+        (parse_long_dataset, loop_parse_long, LONG_TEXT, "s1,100,1,1"),  # conflicting label, duplicate
+        (parse_dataset, loop_parse_wide, WIDE_TEXT, "s4,Z,0,1,2"),  # third label, outcome
+        (parse_dataset, loop_parse_wide, WIDE_TEXT, "s4,Z,0,2"),  # field count, third label
+    ], ids=["long fields", "long visit", "long outcome", "long outcome conflict", "long third label",
+            "long conflict", "wide third label", "wide fields"])
+    def test_row_with_two_faults(self, parse, oracle, text, row):
+        text += row + "\n"
+        want = _parsed(oracle, text, "150")
+        assert want[0] == "ParseError" and want[2] == text.count("\n")
+        assert _parsed(parse, text, "150") == want
 
 
 def _cohort_texts(n_subjects=3000, n_visits=4):
