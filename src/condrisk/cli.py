@@ -142,11 +142,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_out(writer, records, out: str) -> None:
-    if out == "-":
-        writer(records, sys.stdout)
-    else:
-        writer(records, out)
+def _write_rows(writer, records, out: str, suffix: str = "") -> None:
+    """Write grid records to out ('-': stdout); name the file and the flagged rows."""
+    writer(records, sys.stdout if out == "-" else out)
+    if out != "-":
+        flagged = sum(1 for r in records if r.error is not None)
+        note = f" ({flagged} flagged inadmissible)" if flagged else ""
+        sys.stdout.write(f"wrote {len(records)} rows to {out}{note}{suffix}\n")
 
 
 def _cmd_analyze(args) -> int:
@@ -175,18 +177,10 @@ def _cmd_coverage(args) -> int:
         grid = coverage_mod.paper_grid()
     else:
         grid = coverage_mod.parse_grid_file(args.grid)
-    if args.stratum is not None:
-        grid = coverage_mod.with_stratum(grid, args.stratum)
-    if args.level is not None:
-        grid = replace(grid, level=args.level)
-    records = coverage_mod.run_grid(grid, prune_epsilon=args.prune, threads=args.threads)
-    _write_out(coverage_mod.write_coverage_csv, records, args.out)
-    if args.out != "-":
-        flagged = sum(1 for r in records if r.result is None)
-        note = f" ({flagged} flagged inadmissible)" if flagged else ""
-        sys.stdout.write(
-            f"wrote {len(records)} rows to {args.out}{note} [numpy kernel]\n"
-        )
+    given = {"stratum": args.stratum, "level": args.level, "prune_epsilon": args.prune}
+    grid = replace(grid, **{name: value for name, value in given.items() if value is not None})
+    records = coverage_mod.run_grid(grid, threads=args.threads)
+    _write_rows(coverage_mod.write_coverage_csv, records, args.out, " [numpy kernel]")
     return EXIT_OK
 
 
@@ -198,11 +192,7 @@ def _cmd_compare(args) -> int:
     records = compare_mod.compare_grid(
         **{name: tuple(axis) for name, axis in given.items() if axis is not None}
     )
-    _write_out(compare_mod.write_compare_csv, records, args.out)
-    if args.out != "-":
-        flagged = sum(1 for r in records if r.error is not None)
-        note = f" ({flagged} flagged inadmissible)" if flagged else ""
-        sys.stdout.write(f"wrote {len(records)} rows to {args.out}{note}\n")
+    _write_rows(compare_mod.write_compare_csv, records, args.out)
     return EXIT_OK
 
 
@@ -217,7 +207,7 @@ def _cmd_oracle(args) -> int:
         margin_model=args.margin_model,
         reps=args.reps, seed=args.seed, threads=args.threads,
     )
-    _write_out(mc.write_oracle_csv, [record], args.out)
+    mc.write_oracle_csv([record], sys.stdout if args.out == "-" else args.out)
     if args.out != "-":
         sys.stdout.write(
             f"estimate {record.estimate:.6f} +- {record.std_error:.6f} "

@@ -10,7 +10,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ._version import __version__
+from ._run import write_table
 from .errors import DomainError
 from .measures import plug_in_rr0, plug_in_rr1
 
@@ -70,19 +70,7 @@ def compare_grid(
 
 def write_compare_csv(records, out) -> None:
     """Write comparison records as CSV (10 significant digits)."""
-    if hasattr(out, "write"):
-        _write_compare(records, out)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            _write_compare(records, handle)
-
-
-def _write_compare(records, handle) -> None:
-    handle.write(f"# condrisk {__version__}\n")
-    handle.write(COMPARE_CSV_HEADER + "\n")
-    for r in records:
-        fields = [
-            format(v, ".10g")
-            for v in (r.pi_e, r.pi_ne, r.rho_e, r.rho_ne, r.rr, r.rr1, r.rr0)
-        ]
-        handle.write(",".join(fields) + "\n")
+    write_table(out, COMPARE_CSV_HEADER, (
+        [format(v, ".10g") for v in (r.pi_e, r.pi_ne, r.rho_e, r.rho_ne, r.rr, r.rr1, r.rr0)]
+        for r in records
+    ))

@@ -16,15 +16,14 @@ least-recently-used cache for the length of a grid.
 
 import itertools
 import math
-import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _backend
-from ._version import __version__
+from ._run import map_jobs, write_table
 from .binomial import neumaier_sum, pmf_vector, prune_window
 from .errors import DomainError, ParseError, UndefinedMeasureError
 from .measures import z_quantile
@@ -36,6 +35,14 @@ COVERAGE_CSV_HEADER = (
 )
 
 DEFAULT_PRUNE = 1e-12
+
+# truncation_bound = (t_a + t_c) * (1 + _TAIL_SLACK), t a margin's pruned
+# tail mass.  Pruning skips t_a*ND_c + W_a*t_c of the computed pmfs (W the
+# window mass, ND = W + t), at most (t_a + t_c) * max(ND_a, ND_c).  The
+# slack covers ND above 1 (the pmf's rounding: up to 2.2e-12 at n = 10^5,
+# about linear in n) and the few ulps by which the nonnegative Neumaier
+# sums and the additions round down; 2^-30 ~ 9.3e-10 covers both to n ~ 10^7.
+_TAIL_SLACK = 2.0 ** -30
 
 # default study-grid axes
 DEFAULT_N_AXIS = (500, 1000, 2000)
@@ -116,7 +123,8 @@ class CoverageResult:
     p_c sums covering nondegenerate pairs against the full joint
     distribution (unnormalized); noncover_mass is the examined
     complement; degenerate_mass covers excluded zero-entry tables;
-    truncation_bound bounds whatever pruning skipped.
+    truncation_bound is an upper bound on the nondegenerate mass of the
+    computed pmfs that pruning skipped (0.0 when nothing was pruned).
     """
 
     true_rr: float
@@ -139,16 +147,15 @@ class Margin:
     """The per-margin values of one Binomial(n, p) outcome count.
 
     pmf is read-only, since scenarios sharing the margin share the array;
-    [lo, hi] is the pruned window, empty when lo > hi; nondegenerate is the
-    mass of 0 < k < n, window the mass of [lo, hi] (0.0 when empty), and
-    atoms the mass of k = 0 plus k = n.
+    [lo, hi] is the pruned window, empty when lo > hi; tail is the mass of
+    the counts 0 < k < n outside the window, and atoms the mass of k = 0
+    plus k = n.
     """
 
     pmf: np.ndarray
     lo: int
     hi: int
-    nondegenerate: float
-    window: float
+    tail: float
     atoms: float
 
 
@@ -168,8 +175,7 @@ def _build_margin(n: int, p: float, prune_epsilon: float) -> Margin:
         pmf=pmf,
         lo=lo,
         hi=hi,
-        nondegenerate=neumaier_sum(pmf, 1, n),
-        window=neumaier_sum(pmf, lo, hi + 1),
+        tail=neumaier_sum(pmf, 1, lo) + neumaier_sum(pmf, max(lo, hi + 1), n),
         atoms=float(pmf[0]) + float(pmf[n]),
     )
 
@@ -212,10 +218,12 @@ def exact_coverage(scenario: Scenario, prune_epsilon: float = DEFAULT_PRUNE) -> 
     inside the pruned windows with the kernel in _backend, whose sums are
     reproducible to the last bit and independent of any parallel
     scheduling above it.  Both margins come from the margin cache, so a
-    grid builds each distinct (n, p) pmf, window and mass sum once; a
+    grid builds each distinct (n, p) pmf, window and tail mass once; a
     cached margin holds exactly the values a fresh one would.  The
     degenerate mass comes from the four atoms (a or c at 0 or at its
-    margin), so it is never negative.
+    margin), so it is never negative.  The truncation bound, from the two
+    margins' tail masses, bounds the skipped mass of the computed pmfs,
+    not of the exact binomials (see _TAIL_SLACK).
     """
     _check_prune(prune_epsilon)
     p_e, p_ne, true_rr = true_conditional_risks(scenario)
@@ -231,13 +239,12 @@ def exact_coverage(scenario: Scenario, prune_epsilon: float = DEFAULT_PRUNE) -> 
         )
     # P(a degenerate or c degenerate), by inclusion-exclusion over the atoms
     atoms_a, atoms_c = margin_a.atoms, margin_c.atoms
-    nondegenerate = margin_a.nondegenerate * margin_c.nondegenerate
     return CoverageResult(
         true_rr=true_rr,
         p_c=cover,
         noncover_mass=noncover,
         degenerate_mass=atoms_a + atoms_c - atoms_a * atoms_c,
-        truncation_bound=max(0.0, nondegenerate - margin_a.window * margin_c.window),
+        truncation_bound=(margin_a.tail + margin_c.tail) * (1.0 + _TAIL_SLACK),
     )
 
 
@@ -280,7 +287,7 @@ class GridSpec:
         return out
 
 
-def paper_grid(stratum: int = 1, level: float = 0.95, prune_epsilon: float = DEFAULT_PRUNE) -> GridSpec:
+def paper_grid() -> GridSpec:
     """The default 2025-point study grid (3x3 sizes, 5x5 risks, 3x3 correlations)."""
     return GridSpec(
         n_e_axis=DEFAULT_N_AXIS,
@@ -289,9 +296,6 @@ def paper_grid(stratum: int = 1, level: float = 0.95, prune_epsilon: float = DEF
         pi_ne_axis=DEFAULT_PI_AXIS,
         rho_e_axis=DEFAULT_RHO_AXIS,
         rho_ne_axis=DEFAULT_RHO_AXIS,
-        stratum=stratum,
-        level=level,
-        prune_epsilon=prune_epsilon,
     )
 
 
@@ -321,30 +325,16 @@ def _evaluate_point(args) -> GridRecord:
     return GridRecord(n_e, n_ne, pi_e, pi_ne, rho_e, rho_ne, stratum, level, result)
 
 
-def _process_pool(max_workers: int):
-    """A ProcessPoolExecutor; concurrent.futures is imported only when a pool starts."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=max_workers)
-
-
-def run_grid(grid: GridSpec, prune_epsilon: float | None = None, threads: int = 1) -> list:
+def run_grid(grid: GridSpec, threads: int = 1) -> list:
     """Evaluate every grid point, in grid order, flagging inadmissible ones.
 
     Points are independent, so workers only change wall time: the output
     is bitwise identical for any thread count.  The margin cache is emptied
     when the grid is done, so no margin outlives the grid that built it.
     """
-    prune = grid.prune_epsilon if prune_epsilon is None else prune_epsilon
-    _check_prune(prune)
-    items = [(point, grid.stratum, grid.level, prune) for point in grid.points()]
+    items = [(point, grid.stratum, grid.level, grid.prune_epsilon) for point in grid.points()]
     try:
-        workers = min(threads, len(items), os.cpu_count() or 1)
-        if workers <= 1:
-            return [_evaluate_point(item) for item in items]
-        chunk = max(1, len(items) // (workers * 8))
-        with _process_pool(workers) as pool:
-            return list(pool.map(_evaluate_point, items, chunksize=chunk))
+        return map_jobs(_evaluate_point, items, threads)
     finally:
         _clear_margins()
 
@@ -355,28 +345,20 @@ def _fmt(value: float) -> str:
 
 def write_coverage_csv(records, out) -> None:
     """Write grid records as CSV (12 significant digits, nan for flagged)."""
-    if hasattr(out, "write"):
-        _write_coverage(records, out)
+    write_table(out, COVERAGE_CSV_HEADER, map(_coverage_row, records))
+
+
+def _coverage_row(rec: GridRecord) -> list:
+    r = rec.result
+    if r is None:
+        tail = [math.nan] * 5
     else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            _write_coverage(records, handle)
-
-
-def _write_coverage(records, handle) -> None:
-    handle.write(f"# condrisk {__version__}\n")
-    handle.write(COVERAGE_CSV_HEADER + "\n")
-    for rec in records:
-        r = rec.result
-        if r is None:
-            tail = [math.nan] * 5
-        else:
-            tail = [r.true_rr, r.p_c, r.p_c_normalized, r.degenerate_mass, r.truncation_bound]
-        fields = [
-            str(rec.n_e), str(rec.n_ne),
-            _fmt(rec.pi_e), _fmt(rec.pi_ne), _fmt(rec.rho_e), _fmt(rec.rho_ne),
-            str(rec.stratum), _fmt(rec.level),
-        ] + [_fmt(v) for v in tail]
-        handle.write(",".join(fields) + "\n")
+        tail = [r.true_rr, r.p_c, r.p_c_normalized, r.degenerate_mass, r.truncation_bound]
+    return [
+        str(rec.n_e), str(rec.n_ne),
+        _fmt(rec.pi_e), _fmt(rec.pi_ne), _fmt(rec.rho_e), _fmt(rec.rho_ne),
+        str(rec.stratum), _fmt(rec.level),
+    ] + [_fmt(v) for v in tail]
 
 
 _GRID_AXIS_KEYS = {
@@ -459,8 +441,3 @@ def parse_grid_file(source) -> GridSpec:
         return GridSpec(**kwargs)
     except DomainError as exc:
         raise ParseError(str(exc)) from None
-
-
-def with_stratum(grid: GridSpec, stratum: int) -> GridSpec:
-    """Copy of a grid spec targeting the other stratum."""
-    return replace(grid, stratum=stratum)

@@ -38,6 +38,7 @@ import numpy as np
 
 from . import _plaincsv
 from ._plaincsv import EMPTY as _EMPTY
+from ._run import write_table
 from ._version import __version__
 from .errors import DegenerateTableError, DomainError, ParseError
 from .measures import (
@@ -477,34 +478,19 @@ def _fmt_full(value) -> str:
 
 def write_risks_csv(report: AnalysisReport, out) -> None:
     """risks.csv: one row per (visit, group), full-precision risks."""
-    if hasattr(out, "write"):
-        handle = out
-        _write_risks(report, handle)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            _write_risks(report, handle)
-
-
-def _write_risks(report, handle) -> None:
-    handle.write(f"# condrisk {__version__}\n")
-    handle.write(RISKS_CSV_HEADER + "\n")
-    for visit, risk_e, risk_ne in report.risks:
-        handle.write(f"{visit},{GROUP_EXPOSED},{_fmt_full(risk_e)}\n")
-        handle.write(f"{visit},{GROUP_UNEXPOSED},{_fmt_full(risk_ne)}\n")
+    write_table(out, RISKS_CSV_HEADER, (
+        (str(visit), group, _fmt_full(risk))
+        for visit, risk_e, risk_ne in report.risks
+        for group, risk in ((GROUP_EXPOSED, risk_e), (GROUP_UNEXPOSED, risk_ne))
+    ))
 
 
 def write_measures_csv(report: AnalysisReport, out) -> None:
     """measures.csv: one row per (pair, measure), full precision, empty = not estimable."""
-    if hasattr(out, "write"):
-        _write_measures(report, out)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            _write_measures(report, handle)
+    write_table(out, MEASURES_CSV_HEADER, _measure_rows(report))
 
 
-def _write_measures(report, handle) -> None:
-    handle.write(f"# condrisk {__version__}\n")
-    handle.write(MEASURES_CSV_HEADER + "\n")
+def _measure_rows(report):
     for pair in report.pairs:
         rho_e = _fmt_full(pair.rho_e)
         rho_ne = _fmt_full(pair.rho_ne)
@@ -515,9 +501,7 @@ def _write_measures(report, handle) -> None:
                 point = _fmt_full(est.point)
                 lower = _fmt_full(est.ci_lower)
                 upper = _fmt_full(est.ci_upper)
-            handle.write(
-                f"{pair.j},{pair.k},{name},{point},{lower},{upper},{rho_e},{rho_ne}\n"
-            )
+            yield (str(pair.j), str(pair.k), name, point, lower, upper, rho_e, rho_ne)
 
 
 def _pct(value: float) -> str:

@@ -30,12 +30,11 @@ number of replications.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._version import __version__
+from ._run import map_jobs, write_table
 from .errors import DomainError, UndefinedMeasureError
 from .measures import (
     StratifiedTables,
@@ -267,13 +266,6 @@ def _count_reps_args(args) -> tuple[int, int]:
     return _count_reps(*args)
 
 
-def _process_pool(max_workers: int):
-    """A ProcessPoolExecutor; concurrent.futures is imported only when a pool starts."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=max_workers)
-
-
 @dataclass(frozen=True)
 class MCCoverage:
     """Replication-based coverage estimate.
@@ -314,16 +306,9 @@ def mc_coverage(
     parts = max(1, min(threads, reps))
     bounds = [reps * i // parts for i in range(parts + 1)]
     jobs = [(spec, stratum, level, margin_model, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
-    if workers <= 1:
-        covered, nondegenerate = _count_reps(spec, stratum, level, margin_model, 0, reps)
-    else:
-        covered = 0
-        nondegenerate = 0
-        with _process_pool(workers) as pool:
-            for cov, nd in pool.map(_count_reps_args, jobs):
-                covered += cov
-                nondegenerate += nd
+    counts = map_jobs(_count_reps_args, jobs, threads)
+    covered = sum(cov for cov, _ in counts)
+    nondegenerate = sum(nd for _, nd in counts)
     estimate = covered / reps
     std_error = math.sqrt(estimate * (1.0 - estimate) / reps)
     normalized = covered / nondegenerate if nondegenerate > 0 else math.nan
@@ -381,18 +366,8 @@ def oracle_record(
 
 def write_oracle_csv(records, out) -> None:
     """Write oracle records as CSV (12 significant digits)."""
-    if hasattr(out, "write"):
-        _write_oracle(records, out)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            _write_oracle(records, handle)
-
-
-def _write_oracle(records, handle) -> None:
-    handle.write(f"# condrisk {__version__}\n")
-    handle.write(ORACLE_CSV_HEADER + "\n")
-    for r in records:
-        fields = [
+    write_table(out, ORACLE_CSV_HEADER, (
+        [
             str(r.n_e), str(r.n_ne),
             format(r.pi_e, ".12g"), format(r.pi_ne, ".12g"),
             format(r.rho_e, ".12g"), format(r.rho_ne, ".12g"),
@@ -401,4 +376,5 @@ def _write_oracle(records, handle) -> None:
             format(r.estimate, ".12g"), format(r.std_error, ".12g"),
             format(r.estimate_normalized, ".12g"),
         ]
-        handle.write(",".join(fields) + "\n")
+        for r in records
+    ))

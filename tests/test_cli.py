@@ -168,7 +168,7 @@ class TestLazyPackage:
 class TestImportSet:
     """A command loads only the modules it runs (fresh interpreter)."""
 
-    @pytest.mark.parametrize("command", ["version", "coverage", "analyze", "compare"])
+    @pytest.mark.parametrize("command", ["version", "coverage", "analyze", "compare", "oracle"])
     def test_command_loads_only_its_modules(self, command, dataset, grid_file, tmp_path):
         argv, loaded, absent = {  # argv, modules it loads, modules it must not load
             "version": (["--version"], (), ("numpy",)),
@@ -181,6 +181,11 @@ class TestImportSet:
                         ("condrisk.ingest",), ("condrisk.coverage", "condrisk.mc")),
             "compare": (["compare", "--out", str(tmp_path / "cmp.csv")],
                         ("condrisk.compare",), ("numpy",)),
+            "oracle": (["oracle", "--n-e", "9", "--n-ne", "9", "--pi-e", "0.3", "--pi-ne", "0.3",
+                        "--rho-e", "0.1", "--rho-ne", "0.1", "--reps", "10", "--threads", "1",
+                        "--out", str(tmp_path / "oracle.csv")],
+                       ("condrisk.mc",),
+                       ("condrisk.coverage", "condrisk.ingest", "concurrent.futures")),
         }[command]
         code = (
             "import contextlib, io, sys\n"
@@ -311,11 +316,12 @@ class TestCoverage:
         out = tmp_path / "cov.csv"
         assert main([
             "coverage", "--grid", str(grid_file), "--stratum", "0",
-            "--level", "0.9", "--out", str(out),
+            "--level", "0.9", "--prune", "0", "--out", str(out),
         ]) == EXIT_OK
-        row = out.read_text().splitlines()[2].split(",")
-        assert row[6] == "0"
-        assert row[7] == "0.9"
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert {row[6] for row in rows} == {"0"}
+        assert {row[7] for row in rows} == {"0.9"}
+        assert {row[12] for row in rows} == {"0"}  # truncation_bound: nothing pruned
 
     def test_stdout_output(self, grid_file, capsys):
         assert main(["coverage", "--grid", str(grid_file), "--out", "-"]) == EXIT_OK

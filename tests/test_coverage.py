@@ -6,6 +6,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -13,11 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import binom
 
-from condrisk import __version__, _backend, coverage
+from condrisk import __version__, _backend, _run, coverage
 from condrisk._backend import _BLOCK_CELLS
-from condrisk.binomial import pmf_vector
+from condrisk.binomial import pmf_vector, prune_window
 from condrisk.coverage import (
     COVERAGE_CSV_HEADER,
+    DEFAULT_PRUNE,
     CoverageResult,
     GridRecord,
     GridSpec,
@@ -27,7 +29,6 @@ from condrisk.coverage import (
     parse_grid_file,
     run_grid,
     true_conditional_risks,
-    with_stratum,
     write_coverage_csv,
 )
 from condrisk.errors import DomainError, ParseError
@@ -168,6 +169,42 @@ class TestExactCoverage:
             assert pruned.p_c <= exact.p_c + 1e-15
             assert exact.p_c <= pruned.p_c + pruned.truncation_bound + 1e-15
 
+    @pytest.mark.parametrize("prune", [0.0, 1e-12, 1e-9, 5e-7])
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            Scenario(25, 25, 0.1, 0.1, 0.5, 0.5, stratum=0),
+            Scenario(40, 60, 0.1, 0.3, 0.1, 0.5, stratum=0),
+            Scenario(60, 60, 0.5, 0.5, 0.1, 0.1),
+            Scenario(100, 80, 0.9, 0.7, 0.5, 0.1),
+            Scenario(150, 150, 0.9, 0.5, 0.5, 0.1),
+            Scenario(200, 100, 0.5, 0.5, 0.1, 0.9),
+            Scenario(300, 200, 0.1, 0.1, 0.9, 0.1, stratum=0),
+            Scenario(400, 300, 0.3, 0.2, 0.5, 0.4),
+            Scenario(1, 50, 0.5, 0.3, 0.1, 0.1),
+            Scenario(500, 500, 0.1, 0.1, 0.9, 0.1),
+            Scenario(1000, 500, 0.5, 0.3, 0.5, 0.5),
+            Scenario(2000, 1000, 0.1, 0.7, 0.1, 0.9, stratum=0),
+        ],
+        ids=lambda s: f"n{s.n_e}x{s.n_ne}-s{s.stratum}",
+    )
+    def test_truncation_bound_covers_exact_skipped_mass(self, scenario, prune):
+        # exact rational arithmetic on the computed pmfs, no slack
+        p_e, p_ne, _ = true_conditional_risks(scenario)
+        nondegenerate_a, window_a = _exact_masses(scenario.n_e, p_e, prune)
+        nondegenerate_c, window_c = _exact_masses(scenario.n_ne, p_ne, prune)
+        skipped = nondegenerate_a * nondegenerate_c - window_a * window_c
+        assert Fraction(exact_coverage(scenario, prune).truncation_bound) >= skipped
+
+    def test_truncation_bound_covers_pmf_mass_above_one(self):
+        # at n = 10^5, p = 0.5 the computed pmf sums to 1 + 2.2e-12, so a
+        # slack of 2^-40 (9.1e-13) on the tail masses falls short
+        scenario = Scenario(10**5, 10**5, 0.5, 0.5, 0.0, 0.0)
+        nondegenerate, window = _exact_masses(10**5, 0.5, DEFAULT_PRUNE)
+        assert nondegenerate > 1 + Fraction(2) ** -40
+        skipped = nondegenerate**2 - window**2
+        assert Fraction(exact_coverage(scenario).truncation_bound) >= skipped
+
     def test_tighter_prune_converges(self):
         scenario = Scenario(800, 800, 0.3, 0.3, 0.5, 0.5)
         loose = exact_coverage(scenario, 1e-7)
@@ -194,6 +231,17 @@ class TestExactCoverage:
             exact_coverage(s, -1e-12)
         with pytest.raises(DomainError):
             exact_coverage(s, 1e-6)
+
+
+def _exact_masses(n: int, p: float, prune: float) -> tuple[Fraction, Fraction]:
+    """Exact masses of 0 < k < n and of the pruned window, on the computed pmf."""
+    pmf = pmf_vector(n, p)
+    lo, hi = prune_window(pmf, prune)
+
+    def mass(values):
+        return sum(map(Fraction, values.tolist()), Fraction(0))
+
+    return mass(pmf[1:n]), mass(pmf[lo:hi + 1])
 
 
 def _kernel_mask(args):
@@ -396,7 +444,7 @@ class TestGrids:
 
     def test_workers_capped_by_points_and_cpus(self, monkeypatch, recording_pool):
         pool, created = recording_pool
-        monkeypatch.setattr(coverage, "_process_pool", pool)
+        monkeypatch.setattr(_run, "_process_pool", pool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         grid = self.small_grid()
         serial = run_grid(grid)
@@ -414,13 +462,6 @@ class TestGrids:
         recs = run_grid(grid)
         assert recs[0].result is None and recs[0].error
         assert recs[1].result is not None and recs[1].error is None
-
-    def test_with_stratum(self):
-        grid = self.small_grid()
-        other = with_stratum(grid, 0)
-        assert other.stratum == 0
-        assert other.n_e_axis == grid.n_e_axis
-        assert other.prune_epsilon == grid.prune_epsilon
 
 
 class TestCoverageCsv:
@@ -528,8 +569,3 @@ class TestGridFileParser:
         text = GOOD_GRID_TEXT.replace("prune_epsilon = 1e-10", "prune_epsilon = 1e-3")
         with pytest.raises(ParseError, match="prune_epsilon"):
             parse_grid_file(io.StringIO(text))
-
-    def test_run_grid_rejects_bad_prune_override(self):
-        grid = GridSpec((10,), (10,), (0.5,), (0.5,), (0.1,), (0.1,))
-        with pytest.raises(DomainError):
-            run_grid(grid, prune_epsilon=1e-3)

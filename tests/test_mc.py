@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from condrisk import __version__, mc
+from condrisk import __version__, _run, mc
 from condrisk.coverage import Scenario, exact_coverage
 from condrisk.errors import DomainError
 from condrisk.mc import (
@@ -303,7 +303,7 @@ class TestBatchedCountsAgainstLoop:
 class TestWorkerCap:
     def test_workers_capped_by_jobs_and_cpus(self, monkeypatch, recording_pool):
         pool, created = recording_pool
-        monkeypatch.setattr(mc, "_process_pool", pool)
+        monkeypatch.setattr(_run, "_process_pool", pool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         s = spec(n_e=20, n_ne=20, reps=30)
         serial = mc_coverage(s, threads=1)
@@ -316,7 +316,7 @@ class TestWorkerCap:
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_run_in_process(self, monkeypatch, recording_pool, threads):
         pool, created = recording_pool
-        monkeypatch.setattr(mc, "_process_pool", pool)
+        monkeypatch.setattr(_run, "_process_pool", pool)
         s = spec(n_e=20, n_ne=20, reps=30)
         assert mc_coverage(s, threads=threads) == mc_coverage(s, threads=1)
         rec = oracle_record(20, 20, 0.5, 0.5, 0.1, 0.1, 1, 0.95, "cohort", 30, 7, threads=threads)
@@ -325,7 +325,7 @@ class TestWorkerCap:
 
     def test_one_cpu_or_unknown_runs_in_process(self, monkeypatch, recording_pool):
         pool, created = recording_pool
-        monkeypatch.setattr(mc, "_process_pool", pool)
+        monkeypatch.setattr(_run, "_process_pool", pool)
         s = spec(n_e=20, n_ne=20, reps=30)
         serial = mc_coverage(s, margin_model="cohort", threads=1)
         for cpus in (None, 1):
