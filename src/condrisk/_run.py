@@ -28,14 +28,19 @@ def _process_pool(max_workers: int):
     return ProcessPoolExecutor(max_workers=max_workers)
 
 
-def map_jobs(fn, jobs: list, threads: int) -> list:
-    """[fn(job) for job in jobs] over min(threads, jobs, CPUs) worker processes.
+def worker_count(threads: int, jobs: int) -> int:
+    """Worker processes map_jobs uses: min(threads, jobs, CPUs), at least 1."""
+    return max(1, min(threads, jobs, os.cpu_count() or 1))
 
-    With one worker or fewer, no pool starts.  A pool pickles fn and the
-    jobs, so fn must be a module-level function.
+
+def map_jobs(fn, jobs: list, threads: int) -> list:
+    """[fn(job) for job in jobs] over worker_count(threads, len(jobs)) processes.
+
+    With one worker, no pool starts.  A pool pickles fn and the jobs, so
+    fn must be a module-level function.
     """
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
-    if workers <= 1:
+    workers = worker_count(threads, len(jobs))
+    if workers == 1:
         return [fn(job) for job in jobs]
     chunk = max(1, len(jobs) // (workers * 8))
     with _process_pool(workers) as pool:

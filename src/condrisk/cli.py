@@ -105,8 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="confidence level (overrides grid file; default 0.95)")
     p.add_argument("--prune", type=float, default=None,
                    help="tail-pruning epsilon (overrides grid file; default 1e-12)")
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="worker processes (output independent of this)")
+    p.add_argument("--threads", type=_positive_int, default=1, metavar="N",
+                   help="worker processes: at most N, 1 + (window cells)/2^24, the CPUs "
+                        "and the points (output independent of this)")
     p.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
     p.set_defaults(func=_cmd_coverage)
 
@@ -134,8 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_positive_int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--margin-model", choices=MARGIN_MODELS, default="fixed_margin")
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="worker processes (output independent of this)")
+    p.add_argument("--threads", type=_positive_int, default=1, metavar="N",
+                   help="at most N worker processes, never more than the CPUs or the "
+                        "replications (output independent of this)")
     p.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
     p.set_defaults(func=_cmd_oracle)
 
@@ -179,7 +181,7 @@ def _cmd_coverage(args) -> int:
         grid = coverage_mod.parse_grid_file(args.grid)
     given = {"stratum": args.stratum, "level": args.level, "prune_epsilon": args.prune}
     grid = replace(grid, **{name: value for name, value in given.items() if value is not None})
-    records = coverage_mod.run_grid(grid, threads=args.threads)
+    records = coverage_mod.run_grid(grid, threads=args.threads, log=sys.stderr)
     _write_rows(coverage_mod.write_coverage_csv, records, args.out, " [numpy kernel]")
     return EXIT_OK
 

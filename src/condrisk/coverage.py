@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _backend
-from ._run import map_jobs, write_table
+from ._run import map_jobs, worker_count, write_table
 from .binomial import neumaier_sum, pmf_vector, prune_window
 from .errors import DomainError, ParseError, UndefinedMeasureError
 from .measures import z_quantile
@@ -68,6 +68,30 @@ def _stratum_risk(pi: float, rho: float, stratum: int) -> float:
     return (1.0 - rho) * pi
 
 
+_SIZE_NAMES = {"exposed": "n_e", "non-exposed": "n_ne"}
+
+
+def _group_risk(n, pi: float, rho: float, stratum: int, group: str) -> float:
+    """One group's stratum risk, once its admissibility is checked.
+
+    The one rule for a group of a scenario (group "exposed" or
+    "non-exposed", stratum 0 or 1): n a positive int, pi in (0, 1), rho
+    admissible for pi, and a stratum risk in (0, 1).  Raises DomainError.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise DomainError(f"{_SIZE_NAMES[group]} must be a positive integer, got {n!r}")
+    if not 0.0 < pi < 1.0:
+        raise DomainError(f"{group} marginal probability must be in (0, 1), got {pi!r}")
+    BernoulliPairParams(pi, pi, rho)  # admissibility check
+    p = _stratum_risk(pi, rho, stratum)
+    if not 0.0 < p < 1.0:
+        raise DomainError(
+            f"{group} stratum-{stratum} outcome probability {p!r} "
+            "is degenerate; coverage is undefined"
+        )
+    return p
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One coverage-study cell: stratum margins, group parameters, CI level.
@@ -87,24 +111,12 @@ class Scenario:
     level: float = 0.95
 
     def __post_init__(self):
-        for name in ("n_e", "n_ne"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise DomainError(f"{name} must be a positive integer, got {v!r}")
         if self.stratum not in (0, 1):
             raise DomainError(f"stratum must be 0 or 1, got {self.stratum!r}")
         if not 0.0 < self.level < 1.0:
             raise DomainError(f"confidence level must be in (0, 1), got {self.level!r}")
-        for pi, rho, grp in ((self.pi_e, self.rho_e, "exposed"), (self.pi_ne, self.rho_ne, "non-exposed")):
-            if not 0.0 < pi < 1.0:
-                raise DomainError(f"{grp} marginal probability must be in (0, 1), got {pi!r}")
-            BernoulliPairParams(pi, pi, rho)  # admissibility check
-            p = _stratum_risk(pi, rho, self.stratum)
-            if not 0.0 < p < 1.0:
-                raise DomainError(
-                    f"{grp} stratum-{self.stratum} outcome probability {p!r} "
-                    "is degenerate; coverage is undefined"
-                )
+        _group_risk(self.n_e, self.pi_e, self.rho_e, self.stratum, "exposed")
+        _group_risk(self.n_ne, self.pi_ne, self.rho_ne, self.stratum, "non-exposed")
 
 
 def true_conditional_risks(scenario: Scenario) -> tuple[float, float, float]:
@@ -325,16 +337,86 @@ def _evaluate_point(args) -> GridRecord:
     return GridRecord(n_e, n_ne, pi_e, pi_ne, rho_e, rho_ne, stratum, level, result)
 
 
-def run_grid(grid: GridSpec, threads: int = 1) -> list:
+# Window cells per worker a grid needs before run_grid starts a pool (or
+# adds a worker to it).  On a 2-vCPU VM with Python 3.11, starting a pool
+# cost about 0.08 s per command and the kernel ran about 75M cells/s, so
+# 2^24 cells (about 0.22 s in one process) is roughly where a second
+# worker starts to pay.
+_CELLS_PER_WORKER = 2 ** 24
+
+# Largest single window (W_a x W_c cells) run_grid accepts: about a minute
+# of kernel at 75M cells/s, and over 40,000 times the paper grid's largest
+# window (322 x 322).  --prune 0 at n = 10^5 (10^10 cells) is refused;
+# n = 5000 with --prune 0 (2.5 x 10^7) runs.
+_MAX_WINDOW_CELLS = 2 ** 32
+
+
+def _group_margins(n_axis, pi_axis, rho_axis, stratum: int, group: str) -> list:
+    """(n, p) of each admissible margin of one group, once per grid value.
+
+    A point's group is admissible exactly when _group_risk accepts it, so
+    a point is flagged exactly when one of its two margins is skipped here.
+    """
+    out = []
+    for n, pi, rho in itertools.product(n_axis, pi_axis, rho_axis):
+        try:
+            out.append((n, _group_risk(n, pi, rho, stratum, group)))
+        except DomainError:
+            pass
+    return out
+
+
+def _window_cells(grid: GridSpec) -> int:
+    """Kernel cells the grid's points enumerate together, from its margins.
+
+    A point's window is W_a x W_c and each margin depends only on its own
+    group's (n, pi, rho), so over the Cartesian grid the total is the
+    exposed sum of W times the non-exposed sum.  The margins are built
+    through _margin, so the points reuse them, and only when both groups
+    have one, so no margin is built that no point uses.  Raises DomainError
+    when the largest window exceeds _MAX_WINDOW_CELLS.
+    """
+    groups = [
+        _group_margins(grid.n_e_axis, grid.pi_e_axis, grid.rho_e_axis, grid.stratum, "exposed"),
+        _group_margins(grid.n_ne_axis, grid.pi_ne_axis, grid.rho_ne_axis, grid.stratum, "non-exposed"),
+    ]
+    if not all(groups):
+        return 0
+    def width(n, p):
+        margin = _margin(n, p, grid.prune_epsilon)
+        return max(0, margin.hi - margin.lo + 1)
+
+    widths = [[(width(n, p), n) for n, p in group] for group in groups]
+    (w_a, n_a), (w_c, n_c) = max(widths[0]), max(widths[1])
+    if w_a * w_c > _MAX_WINDOW_CELLS:
+        raise DomainError(
+            f"the grid's largest window has {w_a * w_c} cells (n_E = {n_a}, "
+            f"n_nonE = {n_c}), over the cap of {_MAX_WINDOW_CELLS}; "
+            f"a larger --prune (now {grid.prune_epsilon!r}) narrows the windows"
+        )
+    return sum(w for w, _ in widths[0]) * sum(w for w, _ in widths[1])
+
+
+def run_grid(grid: GridSpec, threads: int = 1, log=None) -> list:
     """Evaluate every grid point, in grid order, flagging inadmissible ones.
 
-    Points are independent, so workers only change wall time: the output
-    is bitwise identical for any thread count.  The margin cache is emptied
-    when the grid is done, so no margin outlives the grid that built it.
+    Before any point runs, the grid's window cells are counted
+    (_window_cells; a grid with a window over _MAX_WINDOW_CELLS raises
+    DomainError), and at most 1 + cells // _CELLS_PER_WORKER workers
+    start, never more than threads, the CPUs or the points.  log, a text
+    handle, gets one line with the cells, points and workers.  Points are
+    independent, so workers only change wall time: the output is bitwise
+    identical for any thread count.  The margin cache is emptied when the
+    grid is done, so no margin outlives the grid that built it.
     """
     items = [(point, grid.stratum, grid.level, grid.prune_epsilon) for point in grid.points()]
     try:
-        return map_jobs(_evaluate_point, items, threads)
+        cells = _window_cells(grid)
+        workers = worker_count(min(threads, 1 + cells // _CELLS_PER_WORKER), len(items))
+        if log is not None:
+            plural = "" if workers == 1 else "s"
+            log.write(f"coverage: {cells} window cells in {len(items)} points, {workers} worker{plural}\n")
+        return map_jobs(_evaluate_point, items, workers)
     finally:
         _clear_margins()
 

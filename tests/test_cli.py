@@ -2,15 +2,17 @@
 
 import io
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from importlib.metadata import EntryPoint
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from condrisk import __version__
+from condrisk import __version__, _backend
 from condrisk.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from condrisk.compare import COMPARE_CSV_HEADER
 from condrisk.coverage import COVERAGE_CSV_HEADER
@@ -351,6 +353,28 @@ class TestCoverage:
             "--out", str(tmp_path / "missing" / "c.csv"),
         ])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("out_name", ["cov.csv", "-"])
+    def test_work_line_goes_to_stderr_only(self, grid_file, tmp_path, capsys, out_name):
+        out = out_name if out_name == "-" else str(tmp_path / out_name)
+        assert main(["coverage", "--grid", str(grid_file), "--threads", "2", "--out", out]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"coverage: [1-9]\d* window cells in 4 points, 1 worker\n", captured.err)
+        written = captured.out if out == "-" else Path(out).read_text()
+        assert "window cells" not in captured.out + written
+
+    def test_window_over_the_cap_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("n_E = 100000\nn_nonE = 100000\npi_E = 0.3\npi_nonE = 0.3\n"
+                        "rho_E = 0.5\nrho_nonE = 0.5\n")
+        spy = mock.Mock(side_effect=AssertionError("kernel ran"))
+        with mock.patch.object(_backend, "cover_sums", spy):
+            code = main(["coverage", "--grid", str(path), "--prune", "0",
+                         "--out", str(tmp_path / "c.csv")])
+        assert code == EXIT_NUMERIC and spy.call_count == 0
+        err = capsys.readouterr().err
+        assert "domain error" in err and "9999800001 cells" in err and "--prune" in err
+        assert not (tmp_path / "c.csv").exists()
 
 
 class TestCompare:

@@ -445,6 +445,7 @@ class TestGrids:
     def test_workers_capped_by_points_and_cpus(self, monkeypatch, recording_pool):
         pool, created = recording_pool
         monkeypatch.setattr(_run, "_process_pool", pool)
+        monkeypatch.setattr(coverage, "_CELLS_PER_WORKER", 1)  # cells never cap here
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         grid = self.small_grid()
         serial = run_grid(grid)
@@ -462,6 +463,98 @@ class TestGrids:
         recs = run_grid(grid)
         assert recs[0].result is None and recs[0].error
         assert recs[1].result is not None and recs[1].error is None
+
+
+def _kernel_cells(grid):
+    """(run_grid's records, the cells its kernel calls enumerated, and _window_cells)."""
+    with mock.patch.object(_backend, "cover_sums", wraps=_backend.cover_sums) as spy:
+        records = run_grid(grid)
+    cells = sum((a_hi - a_lo + 1) * (c_hi - c_lo + 1)
+                for _, _, a_lo, a_hi, c_lo, c_hi, *_ in (call.args for call in spy.call_args_list))
+    try:
+        counted = coverage._window_cells(grid)
+    finally:
+        coverage._clear_margins()
+    return records, cells, counted
+
+
+# the shape of the benchmark's coverage-paper grid (both strata, 135 points)
+PAPER_SLICE = GridSpec((500, 1000, 2000), (500, 1000, 2000),
+                       (0.1, 0.3, 0.5, 0.7, 0.9), (0.3,), (0.1, 0.5, 0.9), (0.5,))
+
+
+class TestGridWork:
+    def test_count_equals_kernel_cells_with_flagged_points(self):
+        # n = 1 has an empty window, rho -0.5 is inadmissible at pi 0.1,
+        # rho 1.0 empties stratum 0, pi 1.0 is out of range; duplicate
+        # axis values count once per point
+        grid = GridSpec((1, 30, 30), (1, 25), (0.1, 0.5, 1.0), (0.3, 0.6),
+                        (-0.5, 0.2, 1.0), (0.4,), stratum=0)
+        records, kernel, counted = _kernel_cells(grid)
+        assert any(r.error for r in records) and any(r.result for r in records)
+        assert counted == kernel > 0
+
+    @pytest.mark.parametrize("stratum", [1, 0])
+    def test_count_equals_kernel_cells_on_paper_slice(self, stratum):
+        _, kernel, counted = _kernel_cells(dataclasses.replace(PAPER_SLICE, stratum=stratum))
+        assert counted == kernel
+        assert counted == {1: 4_937_480, 0: 3_695_849}[stratum]  # under 2^24: no pool
+
+    def test_no_admissible_group_counts_nothing_and_builds_nothing(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(coverage, "pmf_vector", lambda n, p: built.append(n))
+        grid = GridSpec((20,), (20,), (0.5,), (0.5,), (0.5,), (1.0,), stratum=0)
+        assert coverage._window_cells(grid) == 0 and built == []
+        assert run_grid(grid)[0].error
+
+    def test_small_grid_starts_no_pool(self, monkeypatch, recording_pool):
+        pool, created = recording_pool
+        monkeypatch.setattr(_run, "_process_pool", pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        for stratum in (1, 0):
+            run_grid(dataclasses.replace(PAPER_SLICE, stratum=stratum), threads=2)
+        assert created == []
+
+    def test_paper_grid_gets_a_worker_per_cell_quota(self, monkeypatch, recording_pool):
+        pool, created = recording_pool
+        monkeypatch.setattr(_run, "_process_pool", pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        # only the worker count matters here, not the points' results
+        monkeypatch.setattr(coverage, "_evaluate_point", lambda item: item)
+        log = io.StringIO()
+        run_grid(paper_grid(), threads=4, log=log)
+        run_grid(paper_grid(), threads=2)
+        assert created == [4, 2]
+        assert log.getvalue() == "coverage: 52722121 window cells in 2025 points, 4 workers\n"
+
+    def test_log_line(self):
+        log = io.StringIO()
+        run_grid(TestGrids().small_grid(), threads=2, log=log)
+        assert log.getvalue() == "coverage: 8352 window cells in 8 points, 1 worker\n"
+
+    def test_window_over_the_cap_is_refused_before_the_kernel(self):
+        # --prune 0 at n = 10^5: 99999^2 ~ 10^10 cells; the kernel must not run
+        grid = GridSpec((100000,), (100000,), (0.3,), (0.3,), (0.5,), (0.5,), prune_epsilon=0.0)
+        spy = mock.Mock(side_effect=AssertionError("kernel ran"))
+        with mock.patch.object(_backend, "cover_sums", spy):
+            with pytest.raises(DomainError, match=r"9999800001 cells \(n_E = 100000, n_nonE = 100000\).*--prune"):
+                run_grid(grid)
+        assert spy.call_count == 0
+        assert len(coverage._margins) == 0
+
+    def test_cap_bounds_the_largest_window_not_the_total(self, monkeypatch):
+        # windows 29 (n = 30) and 24 (n = 25) at prune 0; the total is larger
+        grid = GridSpec((30, 20), (25, 10), (0.5,), (0.5,), (0.2,), (0.2,), prune_epsilon=0.0)
+        monkeypatch.setattr(coverage, "_MAX_WINDOW_CELLS", 29 * 24)
+        assert all(r.result for r in run_grid(grid))
+        monkeypatch.setattr(coverage, "_MAX_WINDOW_CELLS", 29 * 24 - 1)
+        with pytest.raises(DomainError, match="696 cells"):
+            run_grid(grid)
+
+    def test_unpruned_n_5000_still_runs(self):
+        grid = GridSpec((5000,), (5000,), (0.3,), (0.3,), (0.5,), (0.5,), prune_epsilon=0.0)
+        [record] = run_grid(grid)
+        assert record.result.truncation_bound == 0.0
 
 
 class TestCoverageCsv:
