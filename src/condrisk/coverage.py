@@ -10,14 +10,13 @@ prune 0 is exhaustive.
 
 Everything the enumeration needs from one binomial margin depends only on
 (n, p, prune epsilon), and a grid shares each margin among many
-scenarios, so each margin is built once into a Margin and kept in a small
-least-recently-used cache for the length of a grid.
+scenarios, so run_grid builds each distinct margin of a grid once into a
+Margin table, hands each point its pair, and frees the table when the
+grid is done.
 """
 
 import itertools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,15 +170,16 @@ class Margin:
     atoms: float
 
 
-# Cap on the pmf bytes the margin cache holds: a Margin at n = 10^5 is
-# 0.8 MB, so the cap keeps about 80 of them.
-_MARGIN_CACHE_BYTES = 64 << 20
-_margins = OrderedDict()  # (n, p, prune_epsilon) -> Margin, least recent first
-_margin_bytes = 0
-_margin_lock = threading.Lock()
+# Cap on the pmf doubles of a grid's distinct margins, the sum of n + 1
+# over them: 2^23 doubles are 64 MiB.  run_grid checks it from the (n, p)
+# keys before any margin is built, since building one peaks at about 185
+# bytes per unit of n, 80 of them kept by the log-factorial table (176 MB
+# and 0.56 s at n = 10^6 on a 2-core x86-64 VM, Python 3.11).
+_MAX_MARGIN_DOUBLES = 2 ** 23
 
 
-def _build_margin(n: int, p: float, prune_epsilon: float) -> Margin:
+def _margin(n: int, p: float, prune_epsilon: float) -> Margin:
+    """The Margin of Binomial(n, p) at this prune epsilon."""
     pmf = pmf_vector(n, p)
     pmf.setflags(write=False)
     lo, hi = prune_window(pmf, prune_epsilon)
@@ -192,46 +192,17 @@ def _build_margin(n: int, p: float, prune_epsilon: float) -> Margin:
     )
 
 
-def _margin(n: int, p: float, prune_epsilon: float) -> Margin:
-    """The Margin of Binomial(n, p) at this epsilon, built once while cached.
-
-    Least recently used margins are evicted once the cached pmfs exceed
-    _MARGIN_CACHE_BYTES; a margin larger than that is returned uncached.
-    """
-    global _margin_bytes
-    key = (n, p, prune_epsilon)
-    with _margin_lock:
-        margin = _margins.get(key)
-        if margin is not None:
-            _margins.move_to_end(key)
-            return margin
-    margin = _build_margin(n, p, prune_epsilon)
-    with _margin_lock:
-        if key not in _margins:
-            _margins[key] = margin
-            _margin_bytes += margin.pmf.nbytes
-        while _margin_bytes > _MARGIN_CACHE_BYTES:
-            _, old = _margins.popitem(last=False)
-            _margin_bytes -= old.pmf.nbytes
-    return margin
-
-
-def _clear_margins() -> None:
-    global _margin_bytes
-    with _margin_lock:
-        _margins.clear()
-        _margin_bytes = 0
-
-
-def exact_coverage(scenario: Scenario, prune_epsilon: float = DEFAULT_PRUNE) -> CoverageResult:
+def exact_coverage(scenario: Scenario, prune_epsilon: float = DEFAULT_PRUNE,
+                   margins=None) -> CoverageResult:
     """Exact CI coverage for one scenario by full table enumeration.
 
     Enumerates outcome-count pairs (a, c) with 0 < a < n_e, 0 < c < n_ne
     inside the pruned windows with the kernel in _backend, whose sums are
     reproducible to the last bit and independent of any parallel
-    scheduling above it.  Both margins come from the margin cache, so a
-    grid builds each distinct (n, p) pmf, window and tail mass once; a
-    cached margin holds exactly the values a fresh one would.  The
+    scheduling above it.  margins is the (exposed, non-exposed) Margin
+    pair of the scenario at this prune epsilon, as run_grid passes from
+    the table it builds once per grid; when None, both are built here.
+    Either way they hold the same values, so the result is the same.  The
     degenerate mass comes from the four atoms (a or c at 0 or at its
     margin), so it is never negative.  The truncation bound, from the two
     margins' tail masses, bounds the skipped mass of the computed pmfs,
@@ -240,8 +211,9 @@ def exact_coverage(scenario: Scenario, prune_epsilon: float = DEFAULT_PRUNE) -> 
     _check_prune(prune_epsilon)
     p_e, p_ne, true_rr = true_conditional_risks(scenario)
     z = z_quantile(scenario.level)
-    margin_a = _margin(scenario.n_e, p_e, prune_epsilon)
-    margin_c = _margin(scenario.n_ne, p_ne, prune_epsilon)
+    if margins is None:
+        margins = _margin(scenario.n_e, p_e, prune_epsilon), _margin(scenario.n_ne, p_ne, prune_epsilon)
+    margin_a, margin_c = margins
     if margin_a.lo > margin_a.hi or margin_c.lo > margin_c.hi:
         cover, noncover = 0.0, 0.0
     else:
@@ -328,10 +300,10 @@ class GridRecord:
 
 
 def _evaluate_point(args) -> GridRecord:
-    (n_e, n_ne, pi_e, pi_ne, rho_e, rho_ne), stratum, level, prune = args
+    (n_e, n_ne, pi_e, pi_ne, rho_e, rho_ne), stratum, level, prune, margins = args
     try:
         scenario = Scenario(n_e, n_ne, pi_e, pi_ne, rho_e, rho_ne, stratum, level)
-        result = exact_coverage(scenario, prune)
+        result = exact_coverage(scenario, prune, margins)
     except DomainError as exc:
         return GridRecord(n_e, n_ne, pi_e, pi_ne, rho_e, rho_ne, stratum, level, None, str(exc))
     return GridRecord(n_e, n_ne, pi_e, pi_ne, rho_e, rho_ne, stratum, level, result)
@@ -351,74 +323,72 @@ _CELLS_PER_WORKER = 2 ** 24
 _MAX_WINDOW_CELLS = 2 ** 32
 
 
-def _group_margins(n_axis, pi_axis, rho_axis, stratum: int, group: str) -> list:
-    """(n, p) of each admissible margin of one group, once per grid value.
+def _group_keys(n_axis, pi_axis, rho_axis, stratum: int, group: str) -> list:
+    """((n, pi, rho), (n, p)) of each admissible margin of one group.
 
-    A point's group is admissible exactly when _group_risk accepts it, so
-    a point is flagged exactly when one of its two margins is skipped here.
+    One entry per grid value, repeats included.  A point's group is
+    admissible exactly when _group_risk accepts it, so a point is flagged
+    exactly when one of its two groups is skipped here.
     """
     out = []
     for n, pi, rho in itertools.product(n_axis, pi_axis, rho_axis):
         try:
-            out.append((n, _group_risk(n, pi, rho, stratum, group)))
+            out.append(((n, pi, rho), (n, _group_risk(n, pi, rho, stratum, group))))
         except DomainError:
             pass
     return out
 
 
-def _window_cells(grid: GridSpec) -> int:
-    """Kernel cells the grid's points enumerate together, from its margins.
-
-    A point's window is W_a x W_c and each margin depends only on its own
-    group's (n, pi, rho), so over the Cartesian grid the total is the
-    exposed sum of W times the non-exposed sum.  The margins are built
-    through _margin, so the points reuse them, and only when both groups
-    have one, so no margin is built that no point uses.  Raises DomainError
-    when the largest window exceeds _MAX_WINDOW_CELLS.
-    """
-    groups = [
-        _group_margins(grid.n_e_axis, grid.pi_e_axis, grid.rho_e_axis, grid.stratum, "exposed"),
-        _group_margins(grid.n_ne_axis, grid.pi_ne_axis, grid.rho_ne_axis, grid.stratum, "non-exposed"),
-    ]
-    if not all(groups):
-        return 0
-    def width(n, p):
-        margin = _margin(n, p, grid.prune_epsilon)
-        return max(0, margin.hi - margin.lo + 1)
-
-    widths = [[(width(n, p), n) for n, p in group] for group in groups]
-    (w_a, n_a), (w_c, n_c) = max(widths[0]), max(widths[1])
-    if w_a * w_c > _MAX_WINDOW_CELLS:
-        raise DomainError(
-            f"the grid's largest window has {w_a * w_c} cells (n_E = {n_a}, "
-            f"n_nonE = {n_c}), over the cap of {_MAX_WINDOW_CELLS}; "
-            f"a larger --prune (now {grid.prune_epsilon!r}) narrows the windows"
-        )
-    return sum(w for w, _ in widths[0]) * sum(w for w, _ in widths[1])
-
-
 def run_grid(grid: GridSpec, threads: int = 1, log=None) -> list:
     """Evaluate every grid point, in grid order, flagging inadmissible ones.
 
-    Before any point runs, the grid's window cells are counted
-    (_window_cells; a grid with a window over _MAX_WINDOW_CELLS raises
-    DomainError), and at most 1 + cells // _CELLS_PER_WORKER workers
-    start, never more than threads, the CPUs or the points.  log, a text
-    handle, gets one line with the cells, points and workers.  Points are
-    independent, so workers only change wall time: the output is bitwise
-    identical for any thread count.  The margin cache is emptied when the
-    grid is done, so no margin outlives the grid that built it.
+    Before any point runs, the grid's distinct (n, p) margins are built
+    once into one table both groups share (none when a group has no
+    admissible margin, as no point would use it); pmfs over
+    _MAX_MARGIN_DOUBLES raise DomainError before any is built.  A point's
+    window is W_a x W_c, so the grid's window cells are the exposed sum of
+    W times the non-exposed sum; a window over _MAX_WINDOW_CELLS raises
+    DomainError, and at most 1 + cells // _CELLS_PER_WORKER workers start,
+    never more than threads, the CPUs or the points.  log, a text handle,
+    gets one line with the cells, points and workers.  The output is
+    bitwise identical for any thread count.
     """
-    items = [(point, grid.stratum, grid.level, grid.prune_epsilon) for point in grid.points()]
-    try:
-        cells = _window_cells(grid)
-        workers = worker_count(min(threads, 1 + cells // _CELLS_PER_WORKER), len(items))
-        if log is not None:
-            plural = "" if workers == 1 else "s"
-            log.write(f"coverage: {cells} window cells in {len(items)} points, {workers} worker{plural}\n")
-        return map_jobs(_evaluate_point, items, workers)
-    finally:
-        _clear_margins()
+    groups = [
+        _group_keys(grid.n_e_axis, grid.pi_e_axis, grid.rho_e_axis, grid.stratum, "exposed"),
+        _group_keys(grid.n_ne_axis, grid.pi_ne_axis, grid.rho_ne_axis, grid.stratum, "non-exposed"),
+    ]
+    keys = dict.fromkeys(key for group in groups for _, key in group) if all(groups) else {}
+    doubles = sum(n + 1 for n, _ in keys)
+    if doubles > _MAX_MARGIN_DOUBLES:
+        raise DomainError(
+            f"the grid's pmfs need {doubles} doubles (distinct margins: {len(keys)}, "
+            f"largest n: {max(n for n, _ in keys)}), over the cap of {_MAX_MARGIN_DOUBLES}"
+        )
+    table = {(n, p): _margin(n, p, grid.prune_epsilon) for n, p in keys}
+    cells = 0
+    if table:
+        widths = [[(max(0, table[key].hi - table[key].lo + 1), key[0]) for _, key in group]
+                  for group in groups]
+        (w_a, n_a), (w_c, n_c) = max(widths[0]), max(widths[1])
+        if w_a * w_c > _MAX_WINDOW_CELLS:
+            raise DomainError(
+                f"the grid's largest window has {w_a * w_c} cells (n_E = {n_a}, "
+                f"n_nonE = {n_c}), over the cap of {_MAX_WINDOW_CELLS}; "
+                f"a larger --prune (now {grid.prune_epsilon!r}) narrows the windows"
+            )
+        cells = sum(w for w, _ in widths[0]) * sum(w for w, _ in widths[1])
+    exposed, non_exposed = (dict(group) for group in groups)
+    items = []
+    for point in grid.points():
+        n_e, n_ne, pi_e, pi_ne, rho_e, rho_ne = point
+        key_e, key_ne = exposed.get((n_e, pi_e, rho_e)), non_exposed.get((n_ne, pi_ne, rho_ne))
+        margins = None if key_e is None or key_ne is None else (table[key_e], table[key_ne])
+        items.append((point, grid.stratum, grid.level, grid.prune_epsilon, margins))
+    workers = worker_count(min(threads, 1 + cells // _CELLS_PER_WORKER), len(items))
+    if log is not None:
+        plural = "" if workers == 1 else "s"
+        log.write(f"coverage: {cells} window cells in {len(items)} points, {workers} worker{plural}\n")
+    return map_jobs(_evaluate_point, items, workers)
 
 
 def _fmt(value: float) -> str:

@@ -26,7 +26,8 @@ a block of one row.  Coverage is decided for a whole block with
 measures.log_wald_bounds, and a bound within a relative _NEAR of the true
 ratio is decided again by the scalar interval, so the counts equal those
 of a loop over single replications.  Memory is O(block) whatever the
-number of replications.
+number of replications, and a cohort replication wider than
+_MAX_COHORT_DOUBLES is refused before any is drawn.
 """
 
 import math
@@ -57,6 +58,9 @@ MARGIN_MODELS = ("fixed_margin", "cohort")
 # per replication for the arrays that decide coverage.
 _BUFFER_DOUBLES = 1 << 20
 _INTERVAL_DOUBLES = 16
+# Widest cohort replication mc_coverage runs, 2 (n_e + n_ne) uniforms:
+# 2^26 doubles are 512 MiB in each worker.  fixed_margin needs no such row.
+_MAX_COHORT_DOUBLES = 2 ** 26
 # Relative distance to true_rr within which a bound is checked by the
 # scalar interval.
 _NEAR = 1e-12
@@ -300,6 +304,12 @@ def mc_coverage(
     if not 0.0 < level < 1.0:
         raise DomainError(f"confidence level must be in (0, 1), got {level!r}")
     _, _, true_rr = _stratum_true_risks(spec, stratum)
+    width = 2 * (spec.n_e + spec.n_ne)
+    if margin_model == "cohort" and width > _MAX_COHORT_DOUBLES:
+        raise DomainError(
+            f"a cohort replication draws {width} uniforms, over the cap of {_MAX_COHORT_DOUBLES}; "
+            "--margin-model fixed_margin draws two binomials and needs no such buffer"
+        )
     reps = spec.reps
     # Splitting into min(threads, reps) ranges leaves the same non-empty
     # ranges as splitting into threads ranges; threads below 1 run serially.

@@ -12,7 +12,7 @@ from unittest import mock
 
 import pytest
 
-from condrisk import __version__, _backend
+from condrisk import __version__, _backend, mc
 from condrisk.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from condrisk.compare import COMPARE_CSV_HEADER
 from condrisk.coverage import COVERAGE_CSV_HEADER
@@ -457,3 +457,15 @@ class TestOracle:
         args = list(self.BASE)
         args[args.index("--seed") + 1] = "-1"
         assert main(args + ["--out", "-"]) == EXIT_NUMERIC
+
+    def test_cohort_wider_than_the_cap_is_domain_error(self, tmp_path, capsys):
+        args = list(self.BASE)
+        for flag in ("--n-e", "--n-ne"):
+            args[args.index(flag) + 1] = "100000000"
+        spy = mock.Mock(side_effect=AssertionError("replications ran"))
+        with mock.patch.object(mc, "_count_reps", spy):
+            code = main(args + ["--margin-model", "cohort", "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_NUMERIC and spy.call_count == 0
+        err = capsys.readouterr().err
+        assert "domain error" in err and "400000000 uniforms" in err and "fixed_margin" in err
+        assert not (tmp_path / "o.csv").exists()

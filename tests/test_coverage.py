@@ -4,6 +4,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import binom
 
-from condrisk import __version__, _backend, _run, coverage
+from condrisk import __version__, _backend, _run, binomial, coverage
 from condrisk._backend import _BLOCK_CELLS
 from condrisk.binomial import pmf_vector, prune_window
 from condrisk.coverage import (
@@ -317,34 +318,22 @@ SHARED_MARGINS = [
     Scenario(30, 30, 0.2, 0.2, 0.1, 0.1),
     Scenario(60, 30, 0.5, 0.2, 0.9, 0.1),
     Scenario(60, 60, 0.5, 0.5, 0.9, 0.9),
-    Scenario(30, 200, 0.2, 0.3, 0.1, 0.4),  # the n = 200 margin is built last
+    Scenario(30, 200, 0.2, 0.3, 0.1, 0.4),
 ]
 
 
-class TestMarginCache:
-    @pytest.fixture(autouse=True)
-    def empty_cache(self):
-        coverage._clear_margins()
-        yield
-        coverage._clear_margins()
+class TestMargins:
+    def test_grid_records_equal_fresh_exact_coverage(self):
+        # margins repeat across points and across the two groups
+        grid = GridSpec((30, 60), (30, 60), (0.2, 0.5), (0.2, 0.5), (0.1, 0.9), (0.1, 0.9), stratum=0)
+        for rec in run_grid(grid):
+            scenario = Scenario(rec.n_e, rec.n_ne, rec.pi_e, rec.pi_ne, rec.rho_e, rec.rho_ne, 0)
+            assert _bits(rec.result) == _bits(exact_coverage(scenario, grid.prune_epsilon))
 
-    def cold(self, scenario):
-        coverage._clear_margins()
-        return exact_coverage(scenario)
-
-    def test_cold_and_warm_results_are_bitwise_equal(self):
-        cold = [_bits(self.cold(s)) for s in SHARED_MARGINS]
-        coverage._clear_margins()
-        warm = [_bits(exact_coverage(s)) for s in SHARED_MARGINS]
-        again = [_bits(exact_coverage(s)) for s in SHARED_MARGINS]
-        assert warm == cold and again == cold
-        assert len(coverage._margins) < 2 * len(SHARED_MARGINS)
-
-    def test_cached_pmf_is_read_only(self):
+    def test_margin_pmf_is_read_only(self):
         margin = coverage._margin(20, 0.3, 1e-12)
         with pytest.raises(ValueError):
             margin.pmf[3] = 1.0
-        assert coverage._margin(20, 0.3, 1e-12) is margin
 
     def test_grid_builds_each_distinct_margin_once(self, monkeypatch):
         grid = GridSpec((30, 60), (30, 60), (0.2, 0.5), (0.2, 0.5), (0.1, 0.9), (0.1, 0.9))
@@ -364,30 +353,10 @@ class TestMarginCache:
         assert sorted(built) == sorted(distinct)
         assert len(built) < 2 * grid.size()
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_cache_is_empty_after_run_grid(self, threads):
-        exact_coverage(SHARED_MARGINS[0])
-        assert coverage._margins
-        run_grid(TestGrids().small_grid(), threads=threads)
-        assert len(coverage._margins) == 0 and coverage._margin_bytes == 0
-
-    def test_small_byte_budget_holds_and_keeps_results(self, monkeypatch):
-        expected = [_bits(self.cold(s)) for s in SHARED_MARGINS]
-        coverage._clear_margins()
-        budget = 2 * 8 * 61  # two pmfs at n = 60; the n = 200 pmf never fits
-        monkeypatch.setattr(coverage, "_MARGIN_CACHE_BYTES", budget)
-        got = []
-        for scenario in SHARED_MARGINS * 2:
-            got.append(_bits(exact_coverage(scenario)))
-            held = sum(m.pmf.nbytes for m in coverage._margins.values())
-            assert held == coverage._margin_bytes <= budget
-        assert got == expected * 2
-        assert all(key[0] != 200 for key in coverage._margins)
-
-    def test_threads_sharing_the_cache_keep_its_byte_count(self, monkeypatch):
-        expected = [_bits(self.cold(s)) for s in SHARED_MARGINS]
-        coverage._clear_margins()
-        monkeypatch.setattr(coverage, "_MARGIN_CACHE_BYTES", 4 * 8 * 61)
+    def test_threads_growing_the_log_factorial_table_agree(self, monkeypatch):
+        expected = [_bits(exact_coverage(s)) for s in SHARED_MARGINS]
+        # a fresh table, so the threads grow it concurrently under its lock
+        monkeypatch.setattr(binomial, "_LFACT", binomial._LogFactorialTable())
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -398,8 +367,6 @@ class TestMarginCache:
         finally:
             sys.setswitchinterval(interval)
         assert results == [expected] * 12
-        held = sum(m.pmf.nbytes for m in coverage._margins.values())
-        assert held == coverage._margin_bytes <= 4 * 8 * 61
 
 
 class TestGrids:
@@ -466,15 +433,13 @@ class TestGrids:
 
 
 def _kernel_cells(grid):
-    """(run_grid's records, the cells its kernel calls enumerated, and _window_cells)."""
+    """(run_grid's records, the cells its kernel calls enumerated, and the cells it logged)."""
+    log = io.StringIO()
     with mock.patch.object(_backend, "cover_sums", wraps=_backend.cover_sums) as spy:
-        records = run_grid(grid)
+        records = run_grid(grid, log=log)
     cells = sum((a_hi - a_lo + 1) * (c_hi - c_lo + 1)
                 for _, _, a_lo, a_hi, c_lo, c_hi, *_ in (call.args for call in spy.call_args_list))
-    try:
-        counted = coverage._window_cells(grid)
-    finally:
-        coverage._clear_margins()
+    counted = int(re.fullmatch(r"coverage: (\d+) window cells in .*\n", log.getvalue()).group(1))
     return records, cells, counted
 
 
@@ -504,8 +469,9 @@ class TestGridWork:
         built = []
         monkeypatch.setattr(coverage, "pmf_vector", lambda n, p: built.append(n))
         grid = GridSpec((20,), (20,), (0.5,), (0.5,), (0.5,), (1.0,), stratum=0)
-        assert coverage._window_cells(grid) == 0 and built == []
-        assert run_grid(grid)[0].error
+        records, _, counted = _kernel_cells(grid)
+        assert counted == 0 and built == []
+        assert records[0].error
 
     def test_small_grid_starts_no_pool(self, monkeypatch, recording_pool):
         pool, created = recording_pool
@@ -540,7 +506,6 @@ class TestGridWork:
             with pytest.raises(DomainError, match=r"9999800001 cells \(n_E = 100000, n_nonE = 100000\).*--prune"):
                 run_grid(grid)
         assert spy.call_count == 0
-        assert len(coverage._margins) == 0
 
     def test_cap_bounds_the_largest_window_not_the_total(self, monkeypatch):
         # windows 29 (n = 30) and 24 (n = 25) at prune 0; the total is larger
@@ -555,6 +520,26 @@ class TestGridWork:
         grid = GridSpec((5000,), (5000,), (0.3,), (0.3,), (0.5,), (0.5,), prune_epsilon=0.0)
         [record] = run_grid(grid)
         assert record.result.truncation_bound == 0.0
+
+    def test_margin_table_over_the_cap_is_refused_before_any_pmf(self, monkeypatch):
+        # n = 10^8: an 800 MB pmf, and far more to build it; nothing may be allocated
+        spy = mock.Mock(side_effect=AssertionError("pmf built"))
+        monkeypatch.setattr(coverage, "pmf_vector", spy)
+        table_size = len(binomial._LFACT._hi)
+        grid = GridSpec((10**8, 30), (10**8,), (0.3,), (0.3, 0.6), (0.5,), (0.5,))
+        with pytest.raises(DomainError, match=r"need 200000033 doubles \(distinct margins: 3, "
+                                              r"largest n: 100000000\), over the cap of 8388608"):
+            run_grid(grid)
+        assert spy.call_count == 0 and len(binomial._LFACT._hi) == table_size
+
+    def test_margin_cap_passes_at_exactly_the_cap(self, monkeypatch):
+        # distinct margins n = 30, 20 (exposed) and 25, 10 (non-exposed), one p
+        grid = GridSpec((30, 20), (25, 10), (0.5,), (0.5,), (0.2,), (0.2,))
+        monkeypatch.setattr(coverage, "_MAX_MARGIN_DOUBLES", 31 + 21 + 26 + 11)
+        assert all(r.result for r in run_grid(grid))
+        monkeypatch.setattr(coverage, "_MAX_MARGIN_DOUBLES", 31 + 21 + 26 + 11 - 1)
+        with pytest.raises(DomainError, match="need 89 doubles"):
+            run_grid(grid)
 
 
 class TestCoverageCsv:

@@ -162,6 +162,26 @@ class TestMCCoverage:
         assert mc.estimate_normalized == mc.covered / mc.nondegenerate
         assert mc.std_error == math.sqrt(mc.estimate * (1.0 - mc.estimate) / 500)
 
+    def test_cohort_wider_than_the_cap_is_refused_before_any_draw(self, monkeypatch):
+        # n = 10^8 per group: 3.2 GB of uniforms per replication
+        wide = spec(n_e=10**8, n_ne=10**8, reps=2)
+        spy = mock.Mock(side_effect=AssertionError("replications ran"))
+        with monkeypatch.context() as patch:
+            patch.setattr(mc, "_count_reps", spy)
+            with pytest.raises(DomainError, match=r"400000000 uniforms, over the cap of 67108864; "
+                                                  r"--margin-model fixed_margin"):
+                mc_coverage(wide, margin_model="cohort")
+        assert spy.call_count == 0
+        assert mc_coverage(wide, margin_model="fixed_margin").reps == 2
+
+    def test_cohort_cap_passes_at_exactly_the_cap(self, monkeypatch):
+        s = spec(n_e=30, n_ne=20, reps=3)
+        monkeypatch.setattr(mc, "_MAX_COHORT_DOUBLES", 2 * (30 + 20))
+        assert mc_coverage(s, margin_model="cohort").reps == 3
+        monkeypatch.setattr(mc, "_MAX_COHORT_DOUBLES", 2 * (30 + 20) - 1)
+        with pytest.raises(DomainError, match="100 uniforms"):
+            mc_coverage(s, margin_model="cohort")
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             mc_coverage(spec(), margin_model="bootstrap")
