@@ -4,6 +4,7 @@ Imports no NumPy, so compare, which needs none, still loads none.
 """
 
 import os
+from functools import partial
 
 from ._version import __version__
 
@@ -33,15 +34,24 @@ def worker_count(threads: int, jobs: int) -> int:
     return max(1, min(threads, jobs, os.cpu_count() or 1))
 
 
+def _run_all(fn, jobs: list) -> list:
+    return [fn(job) for job in jobs]
+
+
 def map_jobs(fn, jobs: list, threads: int) -> list:
     """[fn(job) for job in jobs] over worker_count(threads, len(jobs)) processes.
 
-    With one worker, no pool starts.  A pool pickles fn and the jobs, so
-    fn must be a module-level function.
+    With one worker, no pool starts.  A pool gets one task per worker,
+    the jobs dealt round-robin, and pickles fn and each task as one
+    object: an object many jobs share, such as a grid's margin, is sent
+    once per worker, not once per job.  fn must be a module-level function.
     """
     workers = worker_count(threads, len(jobs))
     if workers == 1:
-        return [fn(job) for job in jobs]
-    chunk = max(1, len(jobs) // (workers * 8))
+        return _run_all(fn, jobs)
+    results = [None] * len(jobs)
     with _process_pool(workers) as pool:
-        return list(pool.map(fn, jobs, chunksize=chunk))
+        dealt = pool.map(partial(_run_all, fn), [jobs[i::workers] for i in range(workers)])
+        for i, part in enumerate(dealt):
+            results[i::workers] = part
+    return results

@@ -207,7 +207,7 @@ def _cmd_oracle(args) -> int:
         rho_e=args.rho_e, rho_ne=args.rho_ne,
         stratum=args.stratum, level=args.level,
         margin_model=args.margin_model,
-        reps=args.reps, seed=args.seed, threads=args.threads,
+        reps=args.reps, seed=args.seed, threads=args.threads, log=sys.stderr,
     )
     mc.write_oracle_csv([record], sys.stdout if args.out == "-" else args.out)
     if args.out != "-":

@@ -3,31 +3,35 @@
 Simulates correlated binary cohorts and estimates CI coverage by
 replication.  Two margin models: fixed_margin draws the stratum outcome
 counts directly from the binomials the exact engine enumerates; cohort
-draws full per-subject histories, so the stratum margins are random,
-which is the sampling design the exact engine cannot enumerate.
+also makes the stratum sizes random, as sampling whole cohorts does,
+which is the design the exact engine cannot enumerate.
+
+Subjects are independent, so one group's stratum table has an exact law
+of two binomials: ones ~ Bin(n, pi_k) subjects have an earlier outcome
+of 1, the stratum holds m = ones of them (stratum 1) or n - ones
+(stratum 0), and the later outcomes in it count Bin(m, p_later).  A
+cohort replication is therefore four binomial draws whatever n, with the
+law of simulate_cohort's subject-by-subject draw of 2 (n_e + n_ne)
+uniforms, which the tests use as a cross-check.
 
 Reproducibility discipline (bit-exact, platform-independent): streams
 come from the counter-based Philox generator, one independent substream
 per replication with 128-bit key (seed << 64) | rep.  Within one
 replication the exposed group is drawn first: in fixed_margin mode a
-replication is two binomial draws; in cohort mode each group consumes
-two uniform vectors of length n (earlier outcomes, then later outcomes
-given earlier), so a replication is 2 n_e + 2 n_ne uniforms.  Counts are
-order-independent, so any parallel schedule yields identical estimates.
+group is one draw, its later count; in cohort mode it is two, its ones
+and then its later count.  Counts are order-independent, so any parallel
+schedule yields identical estimates.  As NEP 19 allows, the streams hold
+for one NumPy version.
 
 Layout: one Philox and one Generator serve a whole range of
 replications.  Before each replication the public state setter puts the
 generator back where a fresh Philox(key=(seed << 64) | rep) starts: key
-[rep, seed], counter 0, an empty buffer.  Replications go in blocks.  In
-cohort mode each replication's uniforms fill one row of a buffer of at
-most about _BUFFER_DOUBLES doubles, and the block's stratum tables are
-counted with array operations; a replication wider than the buffer is
-a block of one row.  Coverage is decided for a whole block with
+[rep, seed], counter 0, an empty buffer.  Replications go in blocks of at
+most _BLOCK_REPS.  Coverage is decided for a whole block with
 measures.log_wald_bounds, and a bound within a relative _NEAR of the true
 ratio is decided again by the scalar interval, so the counts equal those
 of a loop over single replications.  Memory is O(block) whatever the
-number of replications, and a cohort replication wider than
-_MAX_COHORT_DOUBLES is refused before any is drawn.
+number of replications and the group sizes.
 """
 
 import math
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._run import map_jobs, write_table
+from ._run import map_jobs, worker_count, write_table
 from .errors import DomainError, UndefinedMeasureError
 from .measures import (
     StratifiedTables,
@@ -53,13 +57,11 @@ ORACLE_CSV_HEADER = (
 
 MARGIN_MODELS = ("fixed_margin", "cohort")
 
-# A block of replications holds at most about this many doubles (8 MB),
-# or one replication if that is wider: its uniforms plus _INTERVAL_DOUBLES
-# per replication for the arrays that decide coverage.
-_BUFFER_DOUBLES = 1 << 20
-_INTERVAL_DOUBLES = 16
-# Widest cohort replication mc_coverage runs, 2 (n_e + n_ne) uniforms:
-# 2^26 doubles are 512 MiB in each worker.  fixed_margin needs no such row.
+# Replications whose tables are decided together: _decide's arrays are
+# O(block) whatever the number of replications.
+_BLOCK_REPS = 1 << 14
+# Widest replication simulate_cohort draws, 2 (n_e + n_ne) uniforms:
+# 2^26 doubles are 512 MiB.
 _MAX_COHORT_DOUBLES = 2 ** 26
 # Relative distance to true_rr within which a bound is checked by the
 # scalar interval.
@@ -131,73 +133,52 @@ class _Substreams:
         return self.generator
 
 
-def _draw_rows(streams: _Substreams, rep_lo: int, out: np.ndarray) -> None:
-    """Row i of out: the first out.shape[1] uniforms of replication rep_lo + i."""
-    for i, row in enumerate(out):
-        streams.seek(rep_lo + i).random(out=row)
-
-
-def _groups(spec: CohortSpec):
-    """(offset of the group's uniforms in a replication, group size, parameters)."""
-    return (0, spec.n_e, spec.params_e), (2 * spec.n_e, spec.n_ne, spec.params_ne)
-
-
-def _later_risk(params: BernoulliPairParams, stratum: int) -> float:
-    """Pr(later outcome | earlier outcome = stratum).
-
-    Both conditional risks are computed, since drawing a group's later
-    outcomes needs both: an earlier marginal of 0 or 1 is a DomainError
-    in either stratum.
-    """
-    given1, given0 = cond_prob_given1(params), cond_prob_given0(params)
-    return given1 if stratum == 1 else given0
-
-
-def _stratum_cells(u_earlier, u_later, pi_k: float, p_later: float, stratum: int):
-    """Per row: (members of the stratum, of them with the later outcome).
-
-    u_earlier and u_later are one group's earlier and later uniforms, a
-    row per replication; a subject's earlier outcome is u_earlier < pi_k
-    and, in the stratum, its later outcome is u_later < p_later.
-    """
-    earlier = u_earlier < pi_k
-    n_earlier = np.count_nonzero(earlier, axis=1)
-    if stratum == 1:
-        return n_earlier, np.count_nonzero(earlier & (u_later < p_later), axis=1)
-    return u_earlier.shape[1] - n_earlier, np.count_nonzero(~earlier & (u_later < p_later), axis=1)
-
-
-def _cohort_tables(u: np.ndarray, spec: CohortSpec, stratum: int):
-    """(a, n_e, c, n_ne) of the stratum table, per row of replication uniforms."""
-    (n_e, a), (n_ne, c) = (
-        _stratum_cells(u[:, base:base + n], u[:, base + n:base + 2 * n],
-                       params.pi_k, _later_risk(params, stratum), stratum)
-        for base, n, params in _groups(spec)
-    )
-    return a, n_e, c, n_ne
-
-
 def simulate_cohort(spec: CohortSpec, rep: int = 0) -> StratifiedTables:
-    """Draw one replication of the two cohorts and stratify by the earlier outcome."""
-    uniforms = np.empty((1, 2 * (spec.n_e + spec.n_ne)))
-    _draw_rows(_Substreams(spec.seed), rep, uniforms)
-    tables = []
-    for stratum in (1, 0):
-        a, n_e, c, n_ne = (int(x[0]) for x in _cohort_tables(uniforms, spec, stratum))
-        tables.append(StratumTable(a=a, b=n_e - a, c=c, d=n_ne - c))
-    return StratifiedTables(*tables)
+    """Draw one replication of the two cohorts subject by subject and stratify by the earlier outcome.
+
+    Each group, exposed first, draws n uniforms for its earlier outcomes
+    (u < pi_k) and then n for its later ones (u below the conditional
+    risk given the earlier outcome).  A replication of more than
+    _MAX_COHORT_DOUBLES uniforms raises DomainError before any is drawn.
+    """
+    width = 2 * (spec.n_e + spec.n_ne)
+    if width > _MAX_COHORT_DOUBLES:
+        raise DomainError(
+            f"a cohort replication draws {width} uniforms, over the cap of {_MAX_COHORT_DOUBLES}; "
+            "mc_coverage's cohort model draws four binomials instead"
+        )
+    generator = _Substreams(spec.seed).seek(rep)
+    cells = []
+    for n, params in ((spec.n_e, spec.params_e), (spec.n_ne, spec.params_ne)):
+        earlier = generator.random(n) < params.pi_k
+        later = generator.random(n) < np.where(earlier, cond_prob_given1(params), cond_prob_given0(params))
+        n1, n11 = np.count_nonzero(earlier), np.count_nonzero(earlier & later)
+        n01 = np.count_nonzero(later) - n11
+        cells.append((int(n11), int(n1 - n11), int(n01), int(n - n1 - n01)))
+    (e11, e10, e01, e00), (u11, u10, u01, u00) = cells
+    return StratifiedTables(StratumTable(a=e11, b=e10, c=u11, d=u10),
+                            StratumTable(a=e01, b=e00, c=u01, d=u00))
 
 
-def _fixed_margin_tables(streams: _Substreams, spec: CohortSpec, p_e: float, p_ne: float,
-                         rep_lo: int, rep_hi: int):
-    """(a, n_e, c, n_ne): two binomial draws per replication, exposed first."""
-    a = np.empty(rep_hi - rep_lo, dtype=np.int64)
-    c = np.empty(rep_hi - rep_lo, dtype=np.int64)
-    for i, rep in enumerate(range(rep_lo, rep_hi)):
-        generator = streams.seek(rep)
-        a[i] = generator.binomial(spec.n_e, p_e)
-        c[i] = generator.binomial(spec.n_ne, p_ne)
-    return a, spec.n_e, c, spec.n_ne
+def _draw_tables(streams: _Substreams, groups, stratum: int, rep_lo: int, rep_hi: int) -> np.ndarray:
+    """Rows (a, n_e, c, n_ne), a column per replication of [rep_lo, rep_hi).
+
+    groups holds (n, pi_k, p_later) of the exposed, then the non-exposed
+    group.  With pi_k None the stratum size m is n (fixed_margin);
+    otherwise ones ~ Bin(n, pi_k) is drawn first and m is ones in
+    stratum 1, n - ones in stratum 0 (cohort).  The later count is
+    Bin(m, p_later).
+    """
+    drawn = []
+    for rep in range(rep_lo, rep_hi):
+        binomial = streams.seek(rep).binomial
+        for n, pi_k, p_later in groups:
+            m = n
+            if pi_k is not None:
+                ones = binomial(n, pi_k)
+                m = ones if stratum == 1 else n - ones
+            drawn += (binomial(m, p_later), m)
+    return np.array(drawn, dtype=np.int64).reshape(-1, 4).T
 
 
 def _stratum_true_risks(spec: CohortSpec, stratum: int) -> tuple[float, float, float]:
@@ -241,25 +222,18 @@ def _count_reps(spec: CohortSpec, stratum: int, level: float, margin_model: str,
                 rep_lo: int, rep_hi: int) -> tuple[int, int]:
     """(covered, nondegenerate) counts over replications [rep_lo, rep_hi).
 
-    Replications go in blocks whose uniforms and interval arrays take at
-    most about _BUFFER_DOUBLES doubles, or one replication if that is
-    wider.  The counts do not depend on the block size.
+    Replications go in blocks of at most _BLOCK_REPS; the counts do not
+    depend on the block size.
     """
     p_e, p_ne, true_rr = _stratum_true_risks(spec, stratum)
-    width = 0 if margin_model == "fixed_margin" else 2 * (spec.n_e + spec.n_ne)
-    block = max(1, min(rep_hi - rep_lo, _BUFFER_DOUBLES // (width + _INTERVAL_DOUBLES)))
-    uniforms = np.empty((block, width))
+    cohort = margin_model == "cohort"
+    groups = [(spec.n_e, spec.params_e.pi_k if cohort else None, p_e),
+              (spec.n_ne, spec.params_ne.pi_k if cohort else None, p_ne)]
     streams = _Substreams(spec.seed)
     covered = 0
     nondegenerate = 0
-    for lo in range(rep_lo, rep_hi, block):
-        hi = min(lo + block, rep_hi)
-        if width == 0:
-            tables = _fixed_margin_tables(streams, spec, p_e, p_ne, lo, hi)
-        else:
-            rows = uniforms[:hi - lo]
-            _draw_rows(streams, lo, rows)
-            tables = _cohort_tables(rows, spec, stratum)
+    for lo in range(rep_lo, rep_hi, _BLOCK_REPS):
+        tables = _draw_tables(streams, groups, stratum, lo, min(lo + _BLOCK_REPS, rep_hi))
         cov, nd = _decide(*tables, level, true_rr)
         covered += cov
         nondegenerate += nd
@@ -297,25 +271,29 @@ def mc_coverage(
     level: float = 0.95,
     margin_model: str = "fixed_margin",
     threads: int = 1,
+    log=None,
 ) -> MCCoverage:
-    """Estimate CI coverage over spec.reps simulated replications."""
+    """Estimate CI coverage over spec.reps simulated replications.
+
+    log, a text handle, gets one line with the replications, the binomial
+    draws (two per replication, four in cohort mode) and the workers.
+    """
     if margin_model not in MARGIN_MODELS:
         raise DomainError(f"margin_model must be one of {MARGIN_MODELS}, got {margin_model!r}")
     if not 0.0 < level < 1.0:
         raise DomainError(f"confidence level must be in (0, 1), got {level!r}")
     _, _, true_rr = _stratum_true_risks(spec, stratum)
-    width = 2 * (spec.n_e + spec.n_ne)
-    if margin_model == "cohort" and width > _MAX_COHORT_DOUBLES:
-        raise DomainError(
-            f"a cohort replication draws {width} uniforms, over the cap of {_MAX_COHORT_DOUBLES}; "
-            "--margin-model fixed_margin draws two binomials and needs no such buffer"
-        )
     reps = spec.reps
     # Splitting into min(threads, reps) ranges leaves the same non-empty
     # ranges as splitting into threads ranges; threads below 1 run serially.
     parts = max(1, min(threads, reps))
     bounds = [reps * i // parts for i in range(parts + 1)]
     jobs = [(spec, stratum, level, margin_model, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    if log is not None:
+        draws = reps * (4 if margin_model == "cohort" else 2)
+        workers = worker_count(threads, len(jobs))
+        plural = "" if workers == 1 else "s"
+        log.write(f"oracle: {reps} replications, {draws} binomial draws, {workers} worker{plural}\n")
     counts = map_jobs(_count_reps_args, jobs, threads)
     covered = sum(cov for cov, _ in counts)
     nondegenerate = sum(nd for _, nd in counts)
@@ -360,11 +338,12 @@ def oracle_record(
     n_e: int, n_ne: int,
     pi_e: float, pi_ne: float, rho_e: float, rho_ne: float,
     stratum: int, level: float, margin_model: str,
-    reps: int, seed: int, threads: int = 1,
+    reps: int, seed: int, threads: int = 1, log=None,
 ) -> OracleRecord:
-    """Run the MC oracle for one equal-marginal scenario."""
+    """Run the MC oracle for one equal-marginal scenario; log as in mc_coverage."""
     spec = equal_marginal_spec(n_e, n_ne, pi_e, pi_ne, rho_e, rho_ne, seed, reps)
-    mc = mc_coverage(spec, stratum=stratum, level=level, margin_model=margin_model, threads=threads)
+    mc = mc_coverage(spec, stratum=stratum, level=level, margin_model=margin_model,
+                     threads=threads, log=log)
     return OracleRecord(
         n_e=n_e, n_ne=n_ne, pi_e=pi_e, pi_ne=pi_ne, rho_e=rho_e, rho_ne=rho_ne,
         stratum=stratum, level=level, margin_model=margin_model,

@@ -367,25 +367,72 @@ def loop_simulate_cohort(spec, rep):
     )
 
 
-def loop_count_reps(spec, stratum, level, margin_model, rep_lo, rep_hi):
-    """(covered, nondegenerate) over replications [rep_lo, rep_hi), one at a time."""
+def _cohort_group_law(n, params, stratum):
+    """{(later count, stratum size): probability} of one group of n subjects.
+
+    Enumerates the group's (n11, n10, n01, n00) multinomial over the four
+    (earlier, later) outcome pairs; stratum 1 keeps (n11, n11 + n10),
+    stratum 0 (n01, n01 + n00).
+    """
+    given1, given0 = cond_prob_given1(params), cond_prob_given0(params)
+    pi = params.pi_k
+    cells = (pi * given1, pi * (1.0 - given1), (1.0 - pi) * given0, (1.0 - pi) * (1.0 - given0))
+    law = {}
+    for n11 in range(n + 1):
+        for n10 in range(n + 1 - n11):
+            for n01 in range(n + 1 - n11 - n10):
+                counts = (n11, n10, n01, n - n11 - n10 - n01)
+                ways = math.factorial(n) // math.prod(math.factorial(k) for k in counts)
+                prob = ways * math.prod(q ** k for q, k in zip(cells, counts))
+                key = (n11, n11 + n10) if stratum == 1 else (n01, n01 + counts[3])
+                law.setdefault(key, []).append(prob)
+    return {key: math.fsum(probs) for key, probs in law.items()}
+
+
+def exact_cohort_coverage(spec, stratum, level):
+    """Coverage of the stratum interval when whole cohorts are sampled, exactly.
+
+    Sums, over both groups' multinomial laws, the probability of the
+    nondegenerate stratum tables whose scalar interval covers the true
+    ratio: the unnormalized coverage the cohort oracle estimates.
+    """
     cond_prob = cond_prob_given1 if stratum == 1 else cond_prob_given0
-    p_e = cond_prob(spec.params_e)
-    p_ne = cond_prob(spec.params_ne)
-    true_rr = p_e / p_ne
+    true_rr = cond_prob(spec.params_e) / cond_prob(spec.params_ne)
+    law_e = _cohort_group_law(spec.n_e, spec.params_e, stratum)
+    law_ne = _cohort_group_law(spec.n_ne, spec.params_ne, stratum)
+    covered = []
+    for (a, n_e), p_e in law_e.items():
+        for (c, n_ne), p_ne in law_ne.items():
+            if 1 <= a <= n_e - 1 and 1 <= c <= n_ne - 1:
+                est = stratum_rr_estimate(a, n_e, c, n_ne, level)
+                if est.ci_lower <= true_rr <= est.ci_upper:
+                    covered.append(p_e * p_ne)
+    return math.fsum(covered)
+
+
+def loop_count_reps(spec, stratum, level, margin_model, rep_lo, rep_hi):
+    """(covered, nondegenerate) over replications [rep_lo, rep_hi), one at a time.
+
+    Each replication draws from a fresh Philox, exposed group first.  A
+    fixed_margin group is one draw, its later count Bin(n, p); a cohort
+    group is two, ones ~ Bin(n, pi_k) and then the later count Bin(m, p)
+    of its stratum's m = ones (stratum 1) or n - ones (stratum 0) subjects.
+    """
+    cond_prob = cond_prob_given1 if stratum == 1 else cond_prob_given0
+    groups = [(spec.n_e, spec.params_e), (spec.n_ne, spec.params_ne)]
+    true_rr = cond_prob(spec.params_e) / cond_prob(spec.params_ne)
     covered = 0
     nondegenerate = 0
     for rep in range(rep_lo, rep_hi):
-        if margin_model == "fixed_margin":
-            rng = loop_rep_rng(spec.seed, rep)
-            n_e, n_ne = spec.n_e, spec.n_ne
-            a = int(rng.binomial(n_e, p_e))
-            c = int(rng.binomial(n_ne, p_ne))
-        else:
-            tables = loop_simulate_cohort(spec, rep)
-            t = tables.stratum1 if stratum == 1 else tables.stratum0
-            a, c = t.a, t.c
-            n_e, n_ne = t.n_exposed, t.n_unexposed
+        rng = loop_rep_rng(spec.seed, rep)
+        table = []
+        for n, params in groups:
+            m = n
+            if margin_model == "cohort":
+                ones = int(rng.binomial(n, params.pi_k))
+                m = ones if stratum == 1 else n - ones
+            table += [int(rng.binomial(m, cond_prob(params))), m]
+        a, n_e, c, n_ne = table
         if 1 <= a <= n_e - 1 and 1 <= c <= n_ne - 1:
             nondegenerate += 1
             est = stratum_rr_estimate(a, n_e, c, n_ne, level)

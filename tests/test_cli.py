@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from importlib.metadata import EntryPoint
 from pathlib import Path
 from unittest import mock
@@ -423,13 +424,15 @@ class TestOracle:
         assert lines[2].split(",")[8] == "fixed_margin"
         assert "estimate" in capsys.readouterr().out
 
-    def test_rerun_and_threads_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("margin_model", ["fixed_margin", "cohort"])
+    def test_rerun_and_threads_byte_identical(self, tmp_path, margin_model):
         out1 = tmp_path / "o1.csv"
         out2 = tmp_path / "o2.csv"
         out3 = tmp_path / "o3.csv"
-        assert main(self.BASE + ["--out", str(out1)]) == EXIT_OK
-        assert main(self.BASE + ["--out", str(out2)]) == EXIT_OK
-        assert main(self.BASE + ["--threads", "3", "--out", str(out3)]) == EXIT_OK
+        args = self.BASE + ["--margin-model", margin_model]
+        assert main(args + ["--out", str(out1)]) == EXIT_OK
+        assert main(args + ["--out", str(out2)]) == EXIT_OK
+        assert main(args + ["--threads", "3", "--out", str(out3)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
 
     def test_single_rep_estimate_is_binary(self, capsys):
@@ -458,14 +461,23 @@ class TestOracle:
         args[args.index("--seed") + 1] = "-1"
         assert main(args + ["--out", "-"]) == EXIT_NUMERIC
 
-    def test_cohort_wider_than_the_cap_is_domain_error(self, tmp_path, capsys):
+    def test_cohort_at_a_hundred_million_per_group_runs_in_small_memory(self, capsys):
         args = list(self.BASE)
-        for flag in ("--n-e", "--n-ne"):
-            args[args.index(flag) + 1] = "100000000"
-        spy = mock.Mock(side_effect=AssertionError("replications ran"))
-        with mock.patch.object(mc, "_count_reps", spy):
-            code = main(args + ["--margin-model", "cohort", "--out", str(tmp_path / "o.csv")])
-        assert code == EXIT_NUMERIC and spy.call_count == 0
-        err = capsys.readouterr().err
-        assert "domain error" in err and "400000000 uniforms" in err and "fixed_margin" in err
-        assert not (tmp_path / "o.csv").exists()
+        for flag, value in (("--n-e", "100000000"), ("--n-ne", "100000000"), ("--reps", "20")):
+            args[args.index(flag) + 1] = value
+        tracemalloc.start()
+        try:
+            code = main(args + ["--margin-model", "cohort", "--out", "-"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK and peak < 1 << 20
+        assert capsys.readouterr().out.splitlines()[2].startswith("100000000,100000000,")
+
+    @pytest.mark.parametrize("margin_model, draws", [("fixed_margin", 400), ("cohort", 800)])
+    def test_work_line_goes_to_stderr_only(self, tmp_path, capsys, margin_model, draws):
+        out = tmp_path / "oracle.csv"
+        assert main(self.BASE + ["--margin-model", margin_model, "--out", str(out)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == f"oracle: 200 replications, {draws} binomial draws, 1 worker\n"
+        assert "draws" not in captured.out + out.read_text()

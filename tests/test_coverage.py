@@ -4,6 +4,7 @@ import dataclasses
 import io
 import math
 import os
+import pickle
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -36,6 +37,7 @@ from condrisk.errors import DomainError, ParseError
 from condrisk.measures import log_wald_bounds
 
 from _oracles import brute_coverage, log_wald_mask, log_wald_window, mask_cover_sums
+from conftest import RecordingPool
 
 
 class TestScenario:
@@ -492,6 +494,25 @@ class TestGridWork:
         run_grid(paper_grid(), threads=2)
         assert created == [4, 2]
         assert log.getvalue() == "coverage: 52722121 window cells in 2025 points, 4 workers\n"
+
+    def test_pool_pickles_each_margin_once_per_worker(self, monkeypatch):
+        sent = []
+
+        class PicklingPool(RecordingPool):
+            def map(self, fn, tasks, chunksize=1):
+                tasks = list(tasks)
+                sent.extend(pickle.dumps(task) for task in tasks)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(_run, "_process_pool", lambda max_workers: PicklingPool([], max_workers))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(coverage, "_evaluate_point", lambda item: item)
+        items = run_grid(paper_grid(), threads=2)
+        assert [item[0] for item in items] == list(paper_grid().points())
+        pmfs = {id(m.pmf): m.pmf.nbytes for *_, margins in items if margins for m in margins}
+        assert len(sent) == 2
+        # every distinct pmf at most once per task, plus a small record per point
+        assert sum(map(len, sent)) < 2 * sum(pmfs.values()) + 200 * len(items)
 
     def test_log_line(self):
         log = io.StringIO()

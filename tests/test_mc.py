@@ -25,7 +25,7 @@ from condrisk.mc import (
 from condrisk.measures import log_wald_bounds, phi_correlations, stratum_rr_estimate, z_quantile
 from condrisk.model import BernoulliPairParams, cond_prob_given0, cond_prob_given1, rho_bounds
 
-from _oracles import loop_count_reps, loop_rep_rng, loop_simulate_cohort
+from _oracles import exact_cohort_coverage, loop_count_reps, loop_rep_rng, loop_simulate_cohort
 
 
 def spec(n_e=100, n_ne=100, pi_e=0.5, pi_ne=0.5, rho_e=0.1, rho_ne=0.1, seed=7, reps=200):
@@ -109,6 +109,72 @@ class TestSimulateCohort:
         assert abs(earlier_ne - 0.7) < se3(0.7, 20000)
         assert abs(later_ne - 0.7) < se3(0.7, 20000)
 
+    def test_replication_over_the_cap_is_refused_before_any_draw(self, monkeypatch):
+        # n = 10^8 per group: 3.2 GB of uniforms, never allocated here
+        spy = mock.Mock(side_effect=AssertionError("uniforms drawn"))
+        monkeypatch.setattr(mc, "_Substreams", spy)
+        with pytest.raises(DomainError, match=r"400000000 uniforms, over the cap of 67108864"):
+            simulate_cohort(spec(n_e=10**8, n_ne=10**8))
+        assert spy.call_count == 0
+
+    def test_cap_passes_at_exactly_the_cap(self, monkeypatch):
+        s = spec(n_e=30, n_ne=20)
+        monkeypatch.setattr(mc, "_MAX_COHORT_DOUBLES", 2 * (30 + 20))
+        assert simulate_cohort(s).n_exposed == 30
+        monkeypatch.setattr(mc, "_MAX_COHORT_DOUBLES", 2 * (30 + 20) - 1)
+        with pytest.raises(DomainError, match="100 uniforms"):
+            simulate_cohort(s)
+
+
+# (n_E, n_nonE, pi_E, pi_nonE, rho_E, rho_nonE, stratum, level), small
+# enough to enumerate both groups' multinomials.
+COHORT_LAW_SCENARIOS = [
+    (6, 6, 0.5, 0.5, 0.3, 0.3, 1, 0.95),
+    (6, 5, 0.6, 0.4, 0.2, 0.5, 1, 0.95),
+    (5, 6, 0.7, 0.5, 0.5, 0.1, 1, 0.9),
+    (6, 6, 0.8, 0.6, 0.0, 0.4, 1, 0.8),
+    (4, 6, 0.6, 0.7, 0.6, -0.2, 1, 0.95),
+    (6, 6, 0.9, 0.8, -0.1, 0.2, 1, 0.99),
+    (6, 6, 0.5, 0.5, 0.3, 0.3, 0, 0.95),
+    (6, 5, 0.3, 0.4, 0.2, 0.1, 0, 0.95),
+    (5, 6, 0.2, 0.3, 0.5, 0.1, 0, 0.9),
+    (6, 6, 0.4, 0.3, 0.0, 0.2, 0, 0.8),
+    (6, 4, 0.3, 0.5, -0.3, 0.3, 0, 0.95),
+    (6, 6, 0.1, 0.25, 0.05, -0.1, 0, 0.99),
+]
+
+
+class TestCohortLaw:
+    """The cohort oracle's four binomial draws have the law of whole sampled cohorts."""
+
+    @pytest.mark.parametrize("scenario", COHORT_LAW_SCENARIOS)
+    def test_coverage_matches_the_exact_multinomial_enumeration(self, scenario):
+        *sizes_and_params, stratum, level = scenario
+        s = spec(*sizes_and_params, seed=5, reps=10000)
+        exact = exact_cohort_coverage(s, stratum, level)
+        mc = mc_coverage(s, stratum=stratum, level=level, margin_model="cohort")
+        se = math.sqrt(max(exact * (1.0 - exact), 1.0 / s.reps) / s.reps)
+        assert abs(mc.estimate - exact) <= 4.0 * se
+
+    @pytest.mark.parametrize("stratum", [0, 1])
+    def test_binomial_draws_match_subject_by_subject_draws(self, stratum):
+        s = spec(n_e=40, n_ne=30, pi_e=0.3, pi_ne=0.6, rho_e=0.4, rho_ne=-0.2, seed=3)
+        other = spec(n_e=40, n_ne=30, pi_e=0.3, pi_ne=0.6, rho_e=0.4, rho_ne=-0.2, seed=4)
+        reps = 2000
+        p_e, p_ne, _ = mc._stratum_true_risks(s, stratum)
+        groups = [(s.n_e, s.params_e.pi_k, p_e), (s.n_ne, s.params_ne.pi_k, p_ne)]
+        binomial = mc._draw_tables(mc._Substreams(s.seed), groups, stratum, 0, reps)
+        subjects = []
+        for rep in range(reps):  # another seed, so the two samples are independent
+            tables = simulate_cohort(other, rep)
+            t = tables.stratum1 if stratum == 1 else tables.stratum0
+            subjects.append((t.a, t.n_exposed, t.c, t.n_unexposed))
+        subjects = np.array(subjects).T
+        # (later count, stratum size) of each group
+        for x, y in zip(binomial, subjects):
+            se = math.sqrt((x.var() + y.var()) / reps)
+            assert abs(x.mean() - y.mean()) <= 4.0 * se
+
 
 class TestMCCoverage:
     def test_seed_reproducibility(self):
@@ -162,25 +228,15 @@ class TestMCCoverage:
         assert mc.estimate_normalized == mc.covered / mc.nondegenerate
         assert mc.std_error == math.sqrt(mc.estimate * (1.0 - mc.estimate) / 500)
 
-    def test_cohort_wider_than_the_cap_is_refused_before_any_draw(self, monkeypatch):
-        # n = 10^8 per group: 3.2 GB of uniforms per replication
-        wide = spec(n_e=10**8, n_ne=10**8, reps=2)
-        spy = mock.Mock(side_effect=AssertionError("replications ran"))
-        with monkeypatch.context() as patch:
-            patch.setattr(mc, "_count_reps", spy)
-            with pytest.raises(DomainError, match=r"400000000 uniforms, over the cap of 67108864; "
-                                                  r"--margin-model fixed_margin"):
-                mc_coverage(wide, margin_model="cohort")
-        assert spy.call_count == 0
-        assert mc_coverage(wide, margin_model="fixed_margin").reps == 2
-
-    def test_cohort_cap_passes_at_exactly_the_cap(self, monkeypatch):
-        s = spec(n_e=30, n_ne=20, reps=3)
-        monkeypatch.setattr(mc, "_MAX_COHORT_DOUBLES", 2 * (30 + 20))
-        assert mc_coverage(s, margin_model="cohort").reps == 3
-        monkeypatch.setattr(mc, "_MAX_COHORT_DOUBLES", 2 * (30 + 20) - 1)
-        with pytest.raises(DomainError, match="100 uniforms"):
-            mc_coverage(s, margin_model="cohort")
+    def test_certain_earlier_outcome_puts_the_whole_group_in_stratum_1(self):
+        # pi_E = 1, rho_E = 0: ones = n_E and the exposed later risk is 1, so
+        # every table has a = n_E, as in fixed_margin; only stratum 0's risk
+        # given an earlier 0 is undefined
+        s = equal_marginal_spec(30, 30, 1.0, 0.5, 0.0, 0.2, seed=2, reps=50)
+        for margin_model in MARGIN_MODELS:
+            assert mc_coverage(s, stratum=1, margin_model=margin_model).nondegenerate == 0
+        with pytest.raises(DomainError):
+            mc_coverage(s, stratum=0, margin_model="cohort")
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -243,18 +299,6 @@ class TestSubstreams:
         for rep in REPS:
             assert simulate_cohort(s, rep) == loop_simulate_cohort(s, rep)
 
-    @pytest.mark.parametrize("stratum", [0, 1])
-    def test_simulate_cohort_equals_its_row_of_a_block(self, stratum):
-        s = spec(n_e=37, n_ne=23, pi_e=0.3, pi_ne=0.6, rho_e=0.4, rho_ne=-0.2, seed=2**64 - 1)
-        rep_lo = 2**40 - 3
-        rows = np.empty((7, 2 * (37 + 23)))
-        mc._draw_rows(mc._Substreams(s.seed), rep_lo, rows)
-        a, n_e, c, n_ne = mc._cohort_tables(rows, s, stratum)
-        for i in range(7):
-            tables = simulate_cohort(s, rep_lo + i)
-            t = tables.stratum1 if stratum == 1 else tables.stratum0
-            assert (t.a, t.n_exposed, t.c, t.n_unexposed) == (a[i], n_e[i], c[i], n_ne[i])
-
 
 @st.composite
 def oracle_cases(draw):
@@ -275,22 +319,17 @@ def oracle_cases(draw):
     margin_model = draw(st.sampled_from(MARGIN_MODELS))
     rep_lo = draw(st.sampled_from(REPS) | st.integers(0, 2**40))
     rep_hi = rep_lo + draw(st.integers(1, 12))
-    width = 0 if margin_model == "fixed_margin" else 2 * (n_e + n_ne)
-    per_rep = width + mc._INTERVAL_DOUBLES
-    # 1, 2 and 3 doubles: blocks of one replication, narrower than a cohort
-    # replication; k * per_rep: blocks of k replications; and the default.
-    buffer_size = draw(st.sampled_from(
-        [1, 2, 3, per_rep, 2 * per_rep, 3 * per_rep + 1, mc._BUFFER_DOUBLES]))
+    block = draw(st.sampled_from([1, 2, 3, 5, mc._BLOCK_REPS]))
     level = draw(st.sampled_from([0.8, 0.95, 0.99]))
-    return s, stratum, level, margin_model, rep_lo, rep_hi, buffer_size
+    return s, stratum, level, margin_model, rep_lo, rep_hi, block
 
 
 class TestBatchedCountsAgainstLoop:
     @settings(max_examples=300, deadline=None)
     @given(oracle_cases())
     def test_counts_equal_the_replication_loop(self, case):
-        s, stratum, level, margin_model, rep_lo, rep_hi, buffer_size = case
-        with mock.patch.object(mc, "_BUFFER_DOUBLES", buffer_size):
+        s, stratum, level, margin_model, rep_lo, rep_hi, block = case
+        with mock.patch.object(mc, "_BLOCK_REPS", block):
             batched = mc._count_reps(s, stratum, level, margin_model, rep_lo, rep_hi)
         assert batched == loop_count_reps(s, stratum, level, margin_model, rep_lo, rep_hi)
 
@@ -299,8 +338,8 @@ class TestBatchedCountsAgainstLoop:
     def test_many_blocks(self, monkeypatch, margin_model, stratum):
         s = spec(n_e=150, n_ne=90, pi_e=0.3, pi_ne=0.2, rho_e=0.5, rho_ne=0.3, seed=5)
         expected = loop_count_reps(s, stratum, 0.95, margin_model, 10, 410)
-        for buffer_size in (7, 1000, 5000, mc._BUFFER_DOUBLES):
-            monkeypatch.setattr(mc, "_BUFFER_DOUBLES", buffer_size)
+        for block in (1, 7, 64, mc._BLOCK_REPS):
+            monkeypatch.setattr(mc, "_BLOCK_REPS", block)
             assert mc._count_reps(s, stratum, 0.95, margin_model, 10, 410) == expected
 
     @pytest.mark.parametrize("level", [0.8, 0.95, 0.99])
