@@ -42,8 +42,7 @@ _EXPORTS = {
         "stratum_rr_estimate", "z_quantile",
     ),
     "model": (
-        "BernoulliPairParams", "cond_prob_given0", "cond_prob_given1",
-        "joint_prob_11", "rho_bounds",
+        "BernoulliPairParams", "rho_bounds", "stratum_risk", "stratum_risks",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

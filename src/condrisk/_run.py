@@ -1,12 +1,18 @@
 """The result-table format and the worker-pool policy all commands share.
 
-Imports no NumPy, so compare, which needs none, still loads none.
+Imports no NumPy and nothing else heavy: compare, which needs no NumPy,
+loads none, and the parser takes MARGIN_MODELS from here without slowing
+`--version`.
 """
 
 import os
 from functools import partial
 
 from ._version import __version__
+
+# How mc's oracle samples a stratum table: fixed_margin fixes the stratum
+# sizes, cohort draws them with the whole cohort.
+MARGIN_MODELS = ("fixed_margin", "cohort")
 
 
 def write_table(out, header: str, rows) -> None:

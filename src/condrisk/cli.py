@@ -17,14 +17,14 @@ import sys
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from ._version import __version__
+from ._run import MARGIN_MODELS
 from .errors import DegenerateTableError, DomainError, ParseError
 
 # Each command imports its own modules in its handler, so a process loads
 # only what it runs: `--version` and `compare` load no NumPy, and no
-# command loads another's modules.  The parser therefore keeps this copy of
-# mc.MARGIN_MODELS (a test pins the two together); compare's default axes
-# stay in compare.compare_grid, which gets only the axes given.
-MARGIN_MODELS = ("fixed_margin", "cohort")
+# command loads another's modules.  MARGIN_MODELS comes from _run, which
+# imports nothing heavy; compare's default axes stay in
+# compare.compare_grid, which gets only the axes given.
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -13,11 +13,9 @@ from dataclasses import dataclass
 from ._run import write_table
 from .errors import DomainError
 from .measures import plug_in_rr0, plug_in_rr1
+from .model import DEFAULT_PI_AXIS, DEFAULT_RHO_AXIS
 
 COMPARE_CSV_HEADER = "pi_E,pi_nonE,rho_E,rho_nonE,rr,rr1,rr0"
-
-DEFAULT_PI_AXIS = (0.1, 0.3, 0.5, 0.7, 0.9)
-DEFAULT_RHO_AXIS = (0.1, 0.5, 0.9)
 
 
 @dataclass(frozen=True)

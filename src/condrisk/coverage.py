@@ -1,10 +1,12 @@
 """Exact coverage probabilities of the conditional risk-ratio intervals.
 
 For a scenario with fixed stratum margins, the two outcome counts are
-independent binomials.  The engine enumerates every count pair whose
-stratum table has all entries positive, builds the log-scale Wald
-interval of each pair with measures.log_wald_bounds, and sums the joint
-probability of the pairs whose interval covers the population ratio.
+independent binomials.  Their risks and the population ratio come from
+model.stratum_risks, each group keeping one marginal over both visits.
+The engine enumerates every count pair whose stratum table has all
+entries positive, builds the log-scale Wald interval of each pair with
+measures.log_wald_bounds, and sums the joint probability of the pairs
+whose interval covers the population ratio.
 Tail pruning with a certified bound keeps large margins tractable;
 prune 0 is exhaustive.
 
@@ -24,9 +26,9 @@ import numpy as np
 from . import _backend
 from ._run import map_jobs, worker_count, write_table
 from .binomial import neumaier_sum, pmf_vector, prune_window
-from .errors import DomainError, ParseError, UndefinedMeasureError
+from .errors import DomainError, ParseError
 from .measures import z_quantile
-from .model import BernoulliPairParams
+from .model import DEFAULT_PI_AXIS, DEFAULT_RHO_AXIS, BernoulliPairParams, stratum_risk, stratum_risks
 
 COVERAGE_CSV_HEADER = (
     "n_E,n_nonE,pi_E,pi_nonE,rho_E,rho_nonE,stratum,level,"
@@ -43,10 +45,8 @@ DEFAULT_PRUNE = 1e-12
 # sums and the additions round down; 2^-30 ~ 9.3e-10 covers both to n ~ 10^7.
 _TAIL_SLACK = 2.0 ** -30
 
-# default study-grid axes
+# default study-grid sizes; the risk and correlation axes are model's
 DEFAULT_N_AXIS = (500, 1000, 2000)
-DEFAULT_PI_AXIS = (0.1, 0.3, 0.5, 0.7, 0.9)
-DEFAULT_RHO_AXIS = (0.1, 0.5, 0.9)
 
 
 def _check_prune(prune_epsilon: float) -> None:
@@ -54,17 +54,6 @@ def _check_prune(prune_epsilon: float) -> None:
         raise DomainError(
             f"prune_epsilon must be in [0, 1e-6), got {prune_epsilon!r}"
         )
-
-
-def _stratum_risk(pi: float, rho: float, stratum: int) -> float:
-    """Outcome probability at the later visit within one stratum.
-
-    Both visits share the marginal pi, so conditioning on the earlier
-    outcome gives pi + rho*(1-pi) (stratum 1) or (1-rho)*pi (stratum 0).
-    """
-    if stratum == 1:
-        return pi + rho * (1.0 - pi)
-    return (1.0 - rho) * pi
 
 
 _SIZE_NAMES = {"exposed": "n_e", "non-exposed": "n_ne"}
@@ -81,8 +70,7 @@ def _group_risk(n, pi: float, rho: float, stratum: int, group: str) -> float:
         raise DomainError(f"{_SIZE_NAMES[group]} must be a positive integer, got {n!r}")
     if not 0.0 < pi < 1.0:
         raise DomainError(f"{group} marginal probability must be in (0, 1), got {pi!r}")
-    BernoulliPairParams(pi, pi, rho)  # admissibility check
-    p = _stratum_risk(pi, rho, stratum)
+    p = stratum_risk(BernoulliPairParams(pi, pi, rho), stratum)
     if not 0.0 < p < 1.0:
         raise DomainError(
             f"{group} stratum-{stratum} outcome probability {p!r} "
@@ -110,21 +98,18 @@ class Scenario:
     level: float = 0.95
 
     def __post_init__(self):
-        if self.stratum not in (0, 1):
-            raise DomainError(f"stratum must be 0 or 1, got {self.stratum!r}")
-        if not 0.0 < self.level < 1.0:
-            raise DomainError(f"confidence level must be in (0, 1), got {self.level!r}")
+        z_quantile(self.level)  # checks the level
         _group_risk(self.n_e, self.pi_e, self.rho_e, self.stratum, "exposed")
         _group_risk(self.n_ne, self.pi_ne, self.rho_ne, self.stratum, "non-exposed")
 
 
 def true_conditional_risks(scenario: Scenario) -> tuple[float, float, float]:
     """Population stratum risks (exposed, non-exposed) and their ratio."""
-    p_e = _stratum_risk(scenario.pi_e, scenario.rho_e, scenario.stratum)
-    p_ne = _stratum_risk(scenario.pi_ne, scenario.rho_ne, scenario.stratum)
-    if p_ne <= 0.0:
-        raise UndefinedMeasureError("non-exposed stratum risk is zero: true ratio undefined")
-    return p_e, p_ne, p_e / p_ne
+    return stratum_risks(
+        BernoulliPairParams(scenario.pi_e, scenario.pi_e, scenario.rho_e),
+        BernoulliPairParams(scenario.pi_ne, scenario.pi_ne, scenario.rho_ne),
+        scenario.stratum,
+    )
 
 
 @dataclass(frozen=True)
@@ -252,8 +237,7 @@ class GridSpec:
                 raise DomainError(f"grid axis {name} is empty")
         if self.stratum not in (0, 1):
             raise DomainError(f"stratum must be 0 or 1, got {self.stratum!r}")
-        if not 0.0 < self.level < 1.0:
-            raise DomainError(f"confidence level must be in (0, 1), got {self.level!r}")
+        z_quantile(self.level)  # checks the level
         _check_prune(self.prune_epsilon)
 
     def points(self):

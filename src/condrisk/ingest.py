@@ -49,6 +49,7 @@ from .measures import (
     rr0_estimate,
     rr1_estimate,
     rr_crude,
+    z_quantile,
 )
 
 RISKS_CSV_HEADER = "visit,group,risk"
@@ -449,8 +450,7 @@ def analyze(
     paper_literal_rho: bool = False,
 ) -> AnalysisReport:
     """Per-visit risks plus every requested visit-pair analysis."""
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"confidence level must be in (0, 1), got {level!r}")
+    z_quantile(level)  # checks the level
     if pairs is None:
         pairs = default_pairs(data.n_visits)
     analyses = tuple(

@@ -4,15 +4,18 @@ Simulates correlated binary cohorts and estimates CI coverage by
 replication.  Two margin models: fixed_margin draws the stratum outcome
 counts directly from the binomials the exact engine enumerates; cohort
 also makes the stratum sizes random, as sampling whole cohorts does,
-which is the design the exact engine cannot enumerate.
+which is the design the exact engine cannot enumerate.  The stratum
+risks and the true ratio come from model.stratum_risks, as the exact
+engine's do, so both check their intervals against the same ratio.
 
 Subjects are independent, so one group's stratum table has an exact law
 of two binomials: ones ~ Bin(n, pi_k) subjects have an earlier outcome
 of 1, the stratum holds m = ones of them (stratum 1) or n - ones
-(stratum 0), and the later outcomes in it count Bin(m, p_later).  A
-cohort replication is therefore four binomial draws whatever n, with the
-law of simulate_cohort's subject-by-subject draw of 2 (n_e + n_ne)
-uniforms, which the tests use as a cross-check.
+(stratum 0), and the later outcomes in it count Bin(m, p_later), with
+p_later the group's stratum_risk.  A cohort replication is therefore
+four binomial draws whatever n, with the law of simulate_cohort's
+subject-by-subject draw of 2 (n_e + n_ne) uniforms, which the tests use
+as a cross-check.
 
 Reproducibility discipline (bit-exact, platform-independent): streams
 come from the counter-based Philox generator, one independent substream
@@ -39,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._run import map_jobs, worker_count, write_table
-from .errors import DomainError, UndefinedMeasureError
+from ._run import MARGIN_MODELS, map_jobs, worker_count, write_table
+from .errors import DomainError
 from .measures import (
     StratifiedTables,
     StratumTable,
@@ -48,14 +51,12 @@ from .measures import (
     stratum_rr_estimate,
     z_quantile,
 )
-from .model import BernoulliPairParams, cond_prob_given0, cond_prob_given1
+from .model import BernoulliPairParams, stratum_risk, stratum_risks
 
 ORACLE_CSV_HEADER = (
     "n_E,n_nonE,pi_E,pi_nonE,rho_E,rho_nonE,stratum,level,"
     "margin_model,reps,seed,estimate,std_error,estimate_normalized"
 )
-
-MARGIN_MODELS = ("fixed_margin", "cohort")
 
 # Replications whose tables are decided together: _decide's arrays are
 # O(block) whatever the number of replications.
@@ -137,8 +138,8 @@ def simulate_cohort(spec: CohortSpec, rep: int = 0) -> StratifiedTables:
     """Draw one replication of the two cohorts subject by subject and stratify by the earlier outcome.
 
     Each group, exposed first, draws n uniforms for its earlier outcomes
-    (u < pi_k) and then n for its later ones (u below the conditional
-    risk given the earlier outcome).  A replication of more than
+    (u < pi_k) and then n for its later ones (u below the stratum_risk of
+    the subject's stratum).  A replication of more than
     _MAX_COHORT_DOUBLES uniforms raises DomainError before any is drawn.
     """
     width = 2 * (spec.n_e + spec.n_ne)
@@ -151,7 +152,7 @@ def simulate_cohort(spec: CohortSpec, rep: int = 0) -> StratifiedTables:
     cells = []
     for n, params in ((spec.n_e, spec.params_e), (spec.n_ne, spec.params_ne)):
         earlier = generator.random(n) < params.pi_k
-        later = generator.random(n) < np.where(earlier, cond_prob_given1(params), cond_prob_given0(params))
+        later = generator.random(n) < np.where(earlier, stratum_risk(params, 1), stratum_risk(params, 0))
         n1, n11 = np.count_nonzero(earlier), np.count_nonzero(earlier & later)
         n01 = np.count_nonzero(later) - n11
         cells.append((int(n11), int(n1 - n11), int(n01), int(n - n1 - n01)))
@@ -179,20 +180,6 @@ def _draw_tables(streams: _Substreams, groups, stratum: int, rep_lo: int, rep_hi
                 m = ones if stratum == 1 else n - ones
             drawn += (binomial(m, p_later), m)
     return np.array(drawn, dtype=np.int64).reshape(-1, 4).T
-
-
-def _stratum_true_risks(spec: CohortSpec, stratum: int) -> tuple[float, float, float]:
-    if stratum == 1:
-        p_e = cond_prob_given1(spec.params_e)
-        p_ne = cond_prob_given1(spec.params_ne)
-    elif stratum == 0:
-        p_e = cond_prob_given0(spec.params_e)
-        p_ne = cond_prob_given0(spec.params_ne)
-    else:
-        raise DomainError(f"stratum must be 0 or 1, got {stratum!r}")
-    if p_ne <= 0.0:
-        raise UndefinedMeasureError("non-exposed stratum risk is zero: true ratio undefined")
-    return p_e, p_ne, p_e / p_ne
 
 
 def _covers(a: int, n_e: int, c: int, n_ne: int, level: float, true_rr: float) -> bool:
@@ -225,7 +212,7 @@ def _count_reps(spec: CohortSpec, stratum: int, level: float, margin_model: str,
     Replications go in blocks of at most _BLOCK_REPS; the counts do not
     depend on the block size.
     """
-    p_e, p_ne, true_rr = _stratum_true_risks(spec, stratum)
+    p_e, p_ne, true_rr = stratum_risks(spec.params_e, spec.params_ne, stratum)
     cohort = margin_model == "cohort"
     groups = [(spec.n_e, spec.params_e.pi_k if cohort else None, p_e),
               (spec.n_ne, spec.params_ne.pi_k if cohort else None, p_ne)]
@@ -280,9 +267,8 @@ def mc_coverage(
     """
     if margin_model not in MARGIN_MODELS:
         raise DomainError(f"margin_model must be one of {MARGIN_MODELS}, got {margin_model!r}")
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"confidence level must be in (0, 1), got {level!r}")
-    _, _, true_rr = _stratum_true_risks(spec, stratum)
+    z_quantile(level)  # checks the level
+    _, _, true_rr = stratum_risks(spec.params_e, spec.params_ne, stratum)
     reps = spec.reps
     # Splitting into min(threads, reps) ranges leaves the same non-empty
     # ranges as splitting into threads ranges; threads below 1 run serially.

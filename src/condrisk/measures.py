@@ -14,13 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
 
-from .errors import (
-    DegenerateTableError,
-    DomainError,
-    UndefinedCorrelationError,
-    UndefinedMeasureError,
-)
-from .model import BernoulliPairParams, cond_prob_given0, cond_prob_given1
+from .errors import DegenerateTableError, DomainError, UndefinedCorrelationError
+from .model import BernoulliPairParams, stratum_risks
 
 
 @dataclass(frozen=True)
@@ -192,6 +187,12 @@ def phi_correlations(
     return rho_e, rho_ne
 
 
+def _plug_in_rr(stratum, pi_j_e, pi_k_e, rho_e, pi_j_ne, pi_k_ne, rho_ne) -> float:
+    params_e = BernoulliPairParams(pi_j_e, pi_k_e, rho_e)
+    params_ne = BernoulliPairParams(pi_j_ne, pi_k_ne, rho_ne)
+    return stratum_risks(params_e, params_ne, stratum)[2]
+
+
 def plug_in_rr1(
     pi_j_e: float,
     pi_k_e: float,
@@ -201,11 +202,7 @@ def plug_in_rr1(
     rho_ne: float,
 ) -> float:
     """Population risk ratio at j among subjects with the earlier outcome = 1."""
-    num = cond_prob_given1(BernoulliPairParams(pi_j_e, pi_k_e, rho_e))
-    den = cond_prob_given1(BernoulliPairParams(pi_j_ne, pi_k_ne, rho_ne))
-    if den <= 0.0:
-        raise UndefinedMeasureError("non-exposed conditional probability is zero")
-    return num / den
+    return _plug_in_rr(1, pi_j_e, pi_k_e, rho_e, pi_j_ne, pi_k_ne, rho_ne)
 
 
 def plug_in_rr0(
@@ -217,8 +214,4 @@ def plug_in_rr0(
     rho_ne: float,
 ) -> float:
     """Population risk ratio at j among subjects with the earlier outcome = 0."""
-    num = cond_prob_given0(BernoulliPairParams(pi_j_e, pi_k_e, rho_e))
-    den = cond_prob_given0(BernoulliPairParams(pi_j_ne, pi_k_ne, rho_ne))
-    if den <= 0.0:
-        raise UndefinedMeasureError("non-exposed conditional probability is zero")
-    return num / den
+    return _plug_in_rr(0, pi_j_e, pi_k_e, rho_e, pi_j_ne, pi_k_ne, rho_ne)

@@ -3,17 +3,25 @@
 A subject's outcome at a later visit j and an earlier visit k is modelled
 as a bivariate Bernoulli pair (Y_j, Y_k) with marginals pi_j, pi_k and
 correlation rho.  Everything here is a pure function of those three
-numbers: conditional outcome probabilities given the earlier outcome,
-the joint success probability, and the admissible correlation range.
+numbers: the admissible correlation range and the stratum risk
+Pr(Y_j = 1 | Y_k = s), the paper's measure.  stratum_risk is the one
+definition of that risk, and stratum_risks of the two exposure groups'
+risks and their ratio: coverage, mc and measures all call them, so the
+exact engine, the oracle and compare use the same true ratio to the bit.
 
 The equal-marginals case (constant outcome probability over follow-up)
-is the special case pi_j == pi_k; there is no separate code path.
+is pi_j == pi_k, where stratum_risk uses the simpler, more accurate form.
 """
 
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, UndefinedMeasureError
+
+# Default study axes of coverage's paper grid and compare's sweep: here,
+# since compare loads no NumPy.
+DEFAULT_PI_AXIS = (0.1, 0.3, 0.5, 0.7, 0.9)
+DEFAULT_RHO_AXIS = (0.1, 0.5, 0.9)
 
 # Rounding noise this close to the [0,1] boundary is clamped; anything
 # larger means the parameters were inadmissible and is an error.
@@ -93,28 +101,38 @@ class BernoulliPairParams:
             )
 
 
-def cond_prob_given1(params: BernoulliPairParams) -> float:
-    """Pr(Y_j = 1 | Y_k = 1)."""
-    if params.pi_k == 0.0:
+def stratum_risk(params: BernoulliPairParams, stratum: int) -> float:
+    """Pr(Y_j = 1 | Y_k = stratum), the later-visit risk within a stratum.
+
+    With pi_j == pi_k == pi it is computed as pi + rho (1 - pi) in stratum
+    1 and (1 - rho) pi in stratum 0, which round less than the general
+    pi_j +- rho sqrt(pi_j (1 - pi_j) q / p), where p is the stratum's
+    probability Pr(Y_k = stratum) and q the other stratum's.  Rounding
+    noise within _EDGE_TOL of [0, 1] is clamped.  Raises DomainError for
+    a stratum other than 0 or 1, or one of probability zero.
+    """
+    if stratum not in (0, 1):
+        raise DomainError(f"stratum must be 0 or 1, got {stratum!r}")
+    pi_j, pi_k, rho = params.pi_j, params.pi_k, params.rho
+    p, q = (pi_k, 1.0 - pi_k) if stratum == 1 else (1.0 - pi_k, pi_k)
+    if p == 0.0:
         raise DomainError("conditioning event has probability zero")
-    pi_j, pi_k, rho = params.pi_j, params.pi_k, params.rho
-    value = pi_j + rho * math.sqrt(pi_j * (1.0 - pi_j) * (1.0 - pi_k) / pi_k)
-    return _clamp_unit(value, "Pr(Y_j=1 | Y_k=1)")
+    if pi_j == pi_k:
+        value = pi_j + rho * (1.0 - pi_j) if stratum == 1 else (1.0 - rho) * pi_j
+    else:
+        shift = rho * math.sqrt(pi_j * (1.0 - pi_j) * q / p)
+        value = pi_j + shift if stratum == 1 else pi_j - shift
+    return _clamp_unit(value, f"Pr(Y_j=1 | Y_k={stratum})")
 
 
-def cond_prob_given0(params: BernoulliPairParams) -> float:
-    """Pr(Y_j = 1 | Y_k = 0)."""
-    if params.pi_k == 1.0:
-        raise DomainError("conditioning event has probability zero")
-    pi_j, pi_k, rho = params.pi_j, params.pi_k, params.rho
-    value = pi_j - rho * math.sqrt(pi_j * (1.0 - pi_j) * pi_k / (1.0 - pi_k))
-    return _clamp_unit(value, "Pr(Y_j=1 | Y_k=0)")
+def stratum_risks(params_e: BernoulliPairParams, params_ne: BernoulliPairParams,
+                  stratum: int) -> tuple[float, float, float]:
+    """Stratum risks of the exposed and non-exposed groups, and their ratio.
 
-
-def joint_prob_11(params: BernoulliPairParams) -> float:
-    """Pr(Y_j = 1, Y_k = 1); equals cond_prob_given1 * pi_k."""
-    pi_j, pi_k, rho = params.pi_j, params.pi_k, params.rho
-    value = pi_j * pi_k + rho * math.sqrt(
-        pi_j * (1.0 - pi_j) * pi_k * (1.0 - pi_k)
-    )
-    return _clamp_unit(value, "Pr(Y_j=1, Y_k=1)")
+    Raises UndefinedMeasureError when the non-exposed risk is zero.
+    """
+    p_e = stratum_risk(params_e, stratum)
+    p_ne = stratum_risk(params_ne, stratum)
+    if p_ne <= 0.0:
+        raise UndefinedMeasureError("non-exposed stratum risk is zero: true ratio undefined")
+    return p_e, p_ne, p_e / p_ne

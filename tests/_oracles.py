@@ -21,7 +21,7 @@ from scipy.stats import binom as _sbinom
 from condrisk.coverage import true_conditional_risks
 from condrisk.errors import ParseError
 from condrisk.measures import StratifiedTables, StratumTable, log_wald_bounds, stratum_rr_estimate
-from condrisk.model import cond_prob_given0, cond_prob_given1
+from condrisk.model import stratum_risk, stratum_risks
 
 
 def brute_coverage(scenario):
@@ -345,8 +345,8 @@ def loop_rep_rng(seed, rep):
 
 def _loop_draw_group(rng, n, params):
     """(n11, n10, n01, n00) of one group: earlier outcomes first, then later given earlier."""
-    p_given1 = cond_prob_given1(params)
-    p_given0 = cond_prob_given0(params)
+    p_given1 = stratum_risk(params, 1)
+    p_given0 = stratum_risk(params, 0)
     y_earlier = rng.random(n) < params.pi_k
     p_later = np.where(y_earlier, p_given1, p_given0)
     y_later = rng.random(n) < p_later
@@ -374,7 +374,7 @@ def _cohort_group_law(n, params, stratum):
     (earlier, later) outcome pairs; stratum 1 keeps (n11, n11 + n10),
     stratum 0 (n01, n01 + n00).
     """
-    given1, given0 = cond_prob_given1(params), cond_prob_given0(params)
+    given1, given0 = stratum_risk(params, 1), stratum_risk(params, 0)
     pi = params.pi_k
     cells = (pi * given1, pi * (1.0 - given1), (1.0 - pi) * given0, (1.0 - pi) * (1.0 - given0))
     law = {}
@@ -396,8 +396,7 @@ def exact_cohort_coverage(spec, stratum, level):
     nondegenerate stratum tables whose scalar interval covers the true
     ratio: the unnormalized coverage the cohort oracle estimates.
     """
-    cond_prob = cond_prob_given1 if stratum == 1 else cond_prob_given0
-    true_rr = cond_prob(spec.params_e) / cond_prob(spec.params_ne)
+    _, _, true_rr = stratum_risks(spec.params_e, spec.params_ne, stratum)
     law_e = _cohort_group_law(spec.n_e, spec.params_e, stratum)
     law_ne = _cohort_group_law(spec.n_ne, spec.params_ne, stratum)
     covered = []
@@ -418,9 +417,8 @@ def loop_count_reps(spec, stratum, level, margin_model, rep_lo, rep_hi):
     group is two, ones ~ Bin(n, pi_k) and then the later count Bin(m, p)
     of its stratum's m = ones (stratum 1) or n - ones (stratum 0) subjects.
     """
-    cond_prob = cond_prob_given1 if stratum == 1 else cond_prob_given0
     groups = [(spec.n_e, spec.params_e), (spec.n_ne, spec.params_ne)]
-    true_rr = cond_prob(spec.params_e) / cond_prob(spec.params_ne)
+    _, _, true_rr = stratum_risks(spec.params_e, spec.params_ne, stratum)
     covered = 0
     nondegenerate = 0
     for rep in range(rep_lo, rep_hi):
@@ -431,7 +429,7 @@ def loop_count_reps(spec, stratum, level, margin_model, rep_lo, rep_hi):
             if margin_model == "cohort":
                 ones = int(rng.binomial(n, params.pi_k))
                 m = ones if stratum == 1 else n - ones
-            table += [int(rng.binomial(m, cond_prob(params))), m]
+            table += [int(rng.binomial(m, stratum_risk(params, stratum))), m]
         a, n_e, c, n_ne = table
         if 1 <= a <= n_e - 1 and 1 <= c <= n_ne - 1:
             nondegenerate += 1

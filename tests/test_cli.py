@@ -202,10 +202,6 @@ class TestImportSet:
         )
         assert _python(code) == ["0"] + ["True"] * len(loaded) + ["False"] * len(absent)
 
-    def test_parser_margin_models_match_mc(self):
-        from condrisk import cli, mc
-        assert cli.MARGIN_MODELS == mc.MARGIN_MODELS
-
 
 class TestAnalyze:
     def run(self, dataset, out_dir, *extra):

@@ -1,6 +1,7 @@
 """Monte-Carlo oracle: reproducibility, distributional sanity, CSV output."""
 
 import io
+import itertools
 import math
 import os
 from unittest import mock
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from condrisk import __version__, _run, mc
-from condrisk.coverage import Scenario, exact_coverage
+from condrisk.compare import compare_point
+from condrisk.coverage import Scenario, exact_coverage, paper_grid, true_conditional_risks
 from condrisk.errors import DomainError
 from condrisk.mc import (
     MARGIN_MODELS,
@@ -23,7 +25,7 @@ from condrisk.mc import (
     write_oracle_csv,
 )
 from condrisk.measures import log_wald_bounds, phi_correlations, stratum_rr_estimate, z_quantile
-from condrisk.model import BernoulliPairParams, cond_prob_given0, cond_prob_given1, rho_bounds
+from condrisk.model import BernoulliPairParams, rho_bounds, stratum_risk, stratum_risks
 
 from _oracles import exact_cohort_coverage, loop_count_reps, loop_rep_rng, loop_simulate_cohort
 
@@ -161,7 +163,7 @@ class TestCohortLaw:
         s = spec(n_e=40, n_ne=30, pi_e=0.3, pi_ne=0.6, rho_e=0.4, rho_ne=-0.2, seed=3)
         other = spec(n_e=40, n_ne=30, pi_e=0.3, pi_ne=0.6, rho_e=0.4, rho_ne=-0.2, seed=4)
         reps = 2000
-        p_e, p_ne, _ = mc._stratum_true_risks(s, stratum)
+        p_e, p_ne, _ = stratum_risks(s.params_e, s.params_ne, stratum)
         groups = [(s.n_e, s.params_e.pi_k, p_e), (s.n_ne, s.params_ne.pi_k, p_ne)]
         binomial = mc._draw_tables(mc._Substreams(s.seed), groups, stratum, 0, reps)
         subjects = []
@@ -247,6 +249,23 @@ class TestMCCoverage:
             mc_coverage(spec(), stratum=2)
 
 
+class TestOneTrueRatio:
+    """coverage, oracle and compare see the same true ratio, to the bit."""
+
+    @pytest.mark.parametrize("stratum", [0, 1])
+    def test_paper_grid_ratios_are_bitwise_equal(self, stratum):
+        grid = paper_grid()
+        for pi_e, pi_ne, rho_e, rho_ne in itertools.product(
+            grid.pi_e_axis, grid.pi_ne_axis, grid.rho_e_axis, grid.rho_ne_axis,
+        ):
+            scenario = Scenario(500, 500, pi_e, pi_ne, rho_e, rho_ne, stratum)
+            _, _, exact_rr = true_conditional_risks(scenario)
+            s = equal_marginal_spec(500, 500, pi_e, pi_ne, rho_e, rho_ne, seed=1, reps=1)
+            assert mc_coverage(s, stratum=stratum).true_rr == exact_rr, scenario
+            record = compare_point(pi_e, pi_ne, rho_e, rho_ne)
+            assert (record.rr1 if stratum == 1 else record.rr0) == exact_rr, scenario
+
+
 class TestOracleCsv:
     def test_record_and_format(self):
         rec = oracle_record(
@@ -312,8 +331,7 @@ def oracle_cases(draw):
         pis.append(pi)
         rhos.append(lower + (upper - lower) * draw(st.floats(0.0, 1.0)))
     stratum = draw(st.sampled_from([0, 1]))
-    cond_prob = cond_prob_given1 if stratum == 1 else cond_prob_given0
-    assume(cond_prob(BernoulliPairParams(pis[1], pis[1], rhos[1])) > 0.0)
+    assume(stratum_risk(BernoulliPairParams(pis[1], pis[1], rhos[1]), stratum) > 0.0)
     s = equal_marginal_spec(n_e, n_ne, pis[0], pis[1], rhos[0], rhos[1],
                             seed=draw(st.integers(0, 2**64 - 1)), reps=1)
     margin_model = draw(st.sampled_from(MARGIN_MODELS))

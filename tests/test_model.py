@@ -1,18 +1,12 @@
-"""Bivariate Bernoulli model: admissibility bounds and conditional probabilities."""
+"""Bivariate Bernoulli model: admissibility bounds and stratum risks."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from condrisk.errors import DomainError
-from condrisk.model import (
-    BernoulliPairParams,
-    cond_prob_given0,
-    cond_prob_given1,
-    joint_prob_11,
-    rho_bounds,
-)
+from condrisk.errors import DomainError, UndefinedMeasureError
+from condrisk.model import BernoulliPairParams, rho_bounds, stratum_risk, stratum_risks
 
 
 class TestRhoBounds:
@@ -57,9 +51,9 @@ class TestRhoBounds:
         assert lo <= 0.0 <= hi
         rho = lo + t * (hi - lo)
         params = BernoulliPairParams(pi_j, pi_k, rho)
-        # every probability the model derives stays inside [0, 1]
-        for value in (cond_prob_given1(params), cond_prob_given0(params), joint_prob_11(params)):
-            assert 0.0 <= value <= 1.0
+        # the risk the model derives in either stratum stays inside [0, 1]
+        for stratum in (0, 1):
+            assert 0.0 <= stratum_risk(params, stratum) <= 1.0
 
 
 class TestParams:
@@ -85,29 +79,68 @@ class TestParams:
 class TestConditionals:
     def test_worked_example_given1(self):
         # pi = 0.1 with correlation 0.9 / 0.1 leaves conditionals 0.91 / 0.19
-        assert cond_prob_given1(BernoulliPairParams(0.1, 0.1, 0.9)) == pytest.approx(0.91, abs=1e-12)
-        assert cond_prob_given1(BernoulliPairParams(0.1, 0.1, 0.1)) == pytest.approx(0.19, abs=1e-12)
+        assert stratum_risk(BernoulliPairParams(0.1, 0.1, 0.9), 1) == pytest.approx(0.91, abs=1e-12)
+        assert stratum_risk(BernoulliPairParams(0.1, 0.1, 0.1), 1) == pytest.approx(0.19, abs=1e-12)
 
     def test_worked_example_given0(self):
-        assert cond_prob_given0(BernoulliPairParams(0.9, 0.9, 0.1)) == pytest.approx(0.81, abs=1e-12)
-        assert cond_prob_given0(BernoulliPairParams(0.1, 0.1, 0.9)) == pytest.approx(0.01, abs=1e-12)
+        assert stratum_risk(BernoulliPairParams(0.9, 0.9, 0.1), 0) == pytest.approx(0.81, abs=1e-12)
+        assert stratum_risk(BernoulliPairParams(0.1, 0.1, 0.9), 0) == pytest.approx(0.01, abs=1e-12)
 
     def test_independence_collapses_to_marginal(self):
         params = BernoulliPairParams(0.37, 0.62, 0.0)
-        assert cond_prob_given1(params) == pytest.approx(0.37, abs=1e-15)
-        assert cond_prob_given0(params) == pytest.approx(0.37, abs=1e-15)
-        assert joint_prob_11(params) == pytest.approx(0.37 * 0.62, rel=1e-15)
+        assert stratum_risk(params, 1) == pytest.approx(0.37, abs=1e-15)
+        assert stratum_risk(params, 0) == pytest.approx(0.37, abs=1e-15)
 
     def test_perfect_correlation_equal_marginals(self):
         params = BernoulliPairParams(0.5, 0.5, 1.0)
-        assert cond_prob_given1(params) == 1.0
-        assert cond_prob_given0(params) == 0.0
+        assert stratum_risk(params, 1) == 1.0
+        assert stratum_risk(params, 0) == 0.0
 
     def test_conditioning_on_null_event(self):
         with pytest.raises(DomainError):
-            cond_prob_given1(BernoulliPairParams(0.5, 0.0, 0.0))
+            stratum_risk(BernoulliPairParams(0.5, 0.0, 0.0), 1)
         with pytest.raises(DomainError):
-            cond_prob_given0(BernoulliPairParams(0.5, 1.0, 0.0))
+            stratum_risk(BernoulliPairParams(0.5, 1.0, 0.0), 0)
+
+    @pytest.mark.parametrize("stratum", [-1, 2, 0.5, None])
+    def test_rejects_a_stratum_other_than_0_or_1(self, stratum):
+        with pytest.raises(DomainError, match="stratum must be 0 or 1"):
+            stratum_risk(BernoulliPairParams(0.3, 0.3, 0.1), stratum)
+
+    def test_equal_marginal_form_is_the_closer_one(self):
+        # the exact value is 0.03; the general form cancels to 0.029999999999999916
+        assert stratum_risk(BernoulliPairParams(0.3, 0.3, 0.9), 0) == 0.029999999999999992
+
+    def test_unequal_marginals_use_the_general_form(self):
+        pi_j, pi_k, rho = 0.3, 0.4, 0.2
+        params = BernoulliPairParams(pi_j, pi_k, rho)
+        assert stratum_risk(params, 1) == pi_j + rho * math.sqrt(pi_j * (1.0 - pi_j) * (1.0 - pi_k) / pi_k)
+        assert stratum_risk(params, 0) == pi_j - rho * math.sqrt(pi_j * (1.0 - pi_j) * pi_k / (1.0 - pi_k))
+
+    @given(pi=st.floats(0.001, 0.999), t=st.floats(0.0, 1.0), stratum=st.sampled_from([0, 1]))
+    def test_equal_marginal_form_matches_the_general_formula(self, pi, t, stratum):
+        lo, hi = rho_bounds(pi, pi)
+        rho = lo + t * (hi - lo)
+        p, q = (pi, 1.0 - pi) if stratum == 1 else (1.0 - pi, pi)
+        shift = rho * math.sqrt(pi * (1.0 - pi) * q / p)
+        general = pi + shift if stratum == 1 else pi - shift
+        # Near 0 the general form cancels, so the gap is bounded relative to
+        # the size of its terms, not of the result (largest seen: 3.7e-16).
+        assert abs(stratum_risk(BernoulliPairParams(pi, pi, rho), stratum) - general) <= (
+            1e-15 * (pi + abs(shift))
+        )
+
+    def test_ratio_of_the_two_groups(self):
+        params_e = BernoulliPairParams(0.1, 0.1, 0.9)
+        params_ne = BernoulliPairParams(0.1, 0.1, 0.1)
+        p_e, p_ne, ratio = stratum_risks(params_e, params_ne, 1)
+        assert (p_e, p_ne) == (stratum_risk(params_e, 1), stratum_risk(params_ne, 1))
+        assert ratio == p_e / p_ne
+
+    def test_ratio_undefined_at_a_zero_non_exposed_risk(self):
+        params = BernoulliPairParams(0.5, 0.5, 1.0)
+        with pytest.raises(UndefinedMeasureError):
+            stratum_risks(params, params, 0)
 
     @given(
         pi_j=st.floats(0.01, 0.99),
@@ -117,18 +150,6 @@ class TestConditionals:
     def test_total_probability(self, pi_j, pi_k, t):
         lo, hi = rho_bounds(pi_j, pi_k)
         params = BernoulliPairParams(pi_j, pi_k, lo + t * (hi - lo))
-        # averaging the conditionals over the earlier outcome recovers pi_j
-        total = cond_prob_given1(params) * pi_k + cond_prob_given0(params) * (1.0 - pi_k)
+        # averaging the stratum risks over the earlier outcome recovers pi_j
+        total = stratum_risk(params, 1) * pi_k + stratum_risk(params, 0) * (1.0 - pi_k)
         assert total == pytest.approx(pi_j, abs=1e-12)
-
-    @given(
-        pi_j=st.floats(0.01, 0.99),
-        pi_k=st.floats(0.01, 0.99),
-        t=st.floats(0.001, 0.999),
-    )
-    def test_joint_consistency(self, pi_j, pi_k, t):
-        lo, hi = rho_bounds(pi_j, pi_k)
-        params = BernoulliPairParams(pi_j, pi_k, lo + t * (hi - lo))
-        assert joint_prob_11(params) == pytest.approx(
-            cond_prob_given1(params) * pi_k, abs=1e-12
-        )
