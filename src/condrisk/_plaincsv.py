@@ -9,7 +9,9 @@ other input, and on every row fault the csv reader path of ingest
 reports, so that path parses such input from the start and is the only
 one that raises ParseError.  The input is held one block of about
 BLOCK_BYTES at a time, and per row only its id, label code, visit and
-outcome codes.
+outcome codes.  read_long then groups the rows by id with one stable
+argsort, on 8-byte integer keys when every id fits in 8 bytes, which
+takes about 25 bytes per row more while it runs.
 """
 
 from itertools import chain
@@ -78,19 +80,41 @@ def read_long(read) -> tuple:
         visits.append(_visit_numbers(a, starts[:, 2], ends[:, 2]))
         ys.append(_outcome_codes(a, starts[:, 3], ends[:, 3]))
     visit = np.concatenate(visits)
+    del visits
     n_visits = int(visit.max(initial=0))
     _require(2 <= n_visits <= len(visit) and visit.min() > 0)
-    ids, first, inverse = np.unique(np.concatenate(sids), return_index=True, return_inverse=True)
-    order = np.argsort(first)  # subjects in first-seen order
-    number = np.empty_like(order)
-    number[order] = np.arange(len(order))
-    subject = number[inverse]
+    sid = np.concatenate(sids)
+    del sids
+    # One stable sort groups the rows by id and keeps each id's rows in
+    # file order, so the first row of a group is the id's first-seen row.
+    # Ids of at most 8 bytes sort as big-endian integers, zero-padded.
+    key = sid.astype("S8", copy=False).view(">u8") if sid.itemsize <= 8 else sid
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.concatenate(([True], key[1:] != key[:-1]))
+    del key
+    number_type = np.int32 if len(visit) <= np.iinfo(np.int32).max else np.int64
+    group = np.cumsum(starts, dtype=number_type)
+    group -= 1
+    first = order[starts]  # each group's first row, groups in id order
+    del starts
+    seen = np.argsort(first)  # groups in first-seen order
+    number = np.empty(len(seen), dtype=number_type)
+    number[seen] = np.arange(len(seen), dtype=number_type)
+    subject = np.empty(len(visit), dtype=number_type)
+    subject[order] = number[group]
+    del order, group, number
+    first = first[seen]
     label = np.concatenate(codes)
-    subject_label = label[first[order]]
+    subject_label = label[first]
     _require((label == subject_label[subject]).all())
-    key = np.sort(subject * n_visits + (visit - 1))
+    del label
+    key = subject * np.int64(n_visits)
+    key += visit
+    key.sort()
     _require(not (key[1:] == key[:-1]).any())
-    return ids[order], labels, subject_label, subject, visit, np.concatenate(ys), n_visits
+    del key
+    return sid[first], labels, subject_label, subject, visit, np.concatenate(ys), n_visits
 
 
 def _blocks(read):

@@ -9,11 +9,17 @@ left in ln C(n,k) is the half-ulp of each math.log(i) input term:
 worst case ~5e-13 absolute at n = 2000, i.e. ~2e-13 relative on the
 log-pmf at the mode.
 
-The table grows on demand and is shared process-wide.
+The table grows on demand and is shared process-wide.  It holds each
+pair in two array('d') columns, 16 bytes per k, and NumPy reads them as
+views.  pmf_vector evaluates the log-pmf only where Bernstein's
+inequality leaves the pmf a chance to be nonzero in double precision,
+at most 39 sqrt(np(1-p)) + 507 counts either side of np, and stores zeros
+elsewhere: bit for bit the pmf an evaluation at every count gives.
 """
 
 import math
 import threading
+from array import array
 
 import numpy as np
 
@@ -44,22 +50,32 @@ def _two_prod(a, b):
 
 
 class _LogFactorialTable:
-    """ln(n!) as double-double pairs, grown on demand."""
+    """ln(n!) as double-double pairs, grown on demand.
+
+    _hi and _lo are array('d'), 8 bytes per entry.  A published array is
+    never changed: ensure builds a larger one of exactly the needed size
+    and replaces it, _lo before _hi, so whoever sees k < len(_hi) finds
+    entry k in both, and arrays() can hand out views without copying.
+    """
 
     def __init__(self):
-        self._hi = [0.0, 0.0]  # ln 0! = ln 1! = 0
-        self._lo = [0.0, 0.0]
+        self._hi = array("d", [0.0, 0.0])  # ln 0! = ln 1! = 0
+        self._lo = array("d", [0.0, 0.0])
         self._lock = threading.Lock()
-        self._arrays = (np.empty(0), np.empty(0))  # float64 copies of _hi, _lo
 
     def ensure(self, n: int) -> None:
         if n < len(self._hi):
             return
         with self._lock:
-            hi, lo = self._hi, self._lo
-            hi_append, lo_append, log = hi.append, lo.append, math.log
-            s, e = hi[-1], lo[-1]
-            for i in range(len(hi), n + 1):
+            size = len(self._hi)
+            if n < size:  # another thread grew it meanwhile
+                return
+            # array * count allocates exactly; growing by append would over-allocate by 1/16
+            hi, lo = array("d", [0.0]) * (n + 1), array("d", [0.0]) * (n + 1)
+            hi[:size], lo[:size] = self._hi, self._lo
+            log = math.log
+            s, e = hi[size - 1], lo[size - 1]
+            for i in range(size, n + 1):
                 # _two_sum(s, log i) inlined, then e += its residual
                 x = log(i)
                 t = s + x
@@ -67,28 +83,26 @@ class _LogFactorialTable:
                 e = e + ((s - (t - bb)) + (x - bb))
                 u = t + e  # renormalize
                 s, e = u, e - (u - t)
-                hi_append(s)
-                lo_append(e)
+                hi[i] = s
+                lo[i] = e
+            self._lo = lo
+            self._hi = hi
 
     def arrays(self, n: int):
-        """Read-only float64 views of ln(k!) (hi, lo) for k = 0..n.
-
-        The converted arrays are kept and rebuilt only when the table has
-        grown past them, so a call costs a slice, not a list conversion.
-        """
+        """Read-only float64 views of ln(k!) (hi, lo) for k = 0..n."""
         self.ensure(n)
-        hi, lo = self._arrays
-        if hi.size <= n:
-            with self._lock:
-                hi = np.array(self._hi, dtype=np.float64)
-                lo = np.array(self._lo, dtype=np.float64)
-                hi.setflags(write=False)
-                lo.setflags(write=False)
-                self._arrays = (hi, lo)
-        return hi[: n + 1], lo[: n + 1]
+        views = np.frombuffer(self._hi)[: n + 1], np.frombuffer(self._lo)[: n + 1]
+        for view in views:
+            view.setflags(write=False)
+        return views
 
 
 _LFACT = _LogFactorialTable()
+
+
+def _check_probability(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"p must be in [0, 1], got {p!r}")
 
 
 def binom_log_pmf(n: int, k: int, p: float) -> float:
@@ -100,8 +114,7 @@ def binom_log_pmf(n: int, k: int, p: float) -> float:
     """
     if not 0 <= k <= n:
         raise DomainError(f"k must be in [0, n], got k={k}, n={n}")
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be in [0, 1], got {p!r}")
+    _check_probability(p)
     if p == 0.0:
         return 0.0 if k == 0 else -math.inf
     if p == 1.0:
@@ -111,21 +124,18 @@ def binom_log_pmf(n: int, k: int, p: float) -> float:
     return _log_pmf(hi[n], lo[n], hi[k], lo[k], hi[n - k], lo[n - k], float(k), float(n - k), p)
 
 
-def log_pmf_vector(n: int, p: float) -> np.ndarray:
-    """ln pmf of Binomial(n, p) at every k = 0..n.
+def log_pmf_at(n: int, p: float, k: np.ndarray) -> np.ndarray:
+    """ln pmf of Binomial(n, p) at each count of k, an int array within [0, n].
 
     The same :func:`_log_pmf` as :func:`binom_log_pmf`, on arrays;
     the two paths agree bit-for-bit.
     """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be in [0, 1], got {p!r}")
+    _check_probability(p)
     if p == 0.0 or p == 1.0:
-        out = np.full(n + 1, -math.inf)
-        out[0 if p == 0.0 else n] = 0.0
-        return out
+        return np.where(k == (0 if p == 0.0 else n), 0.0, -math.inf)
     hi, lo = _LFACT.arrays(n)
-    k = np.arange(n + 1, dtype=np.float64)
-    return _log_pmf(hi[n], lo[n], hi, lo, hi[::-1], lo[::-1], k, k[::-1], p)
+    r = n - k
+    return _log_pmf(hi[n], lo[n], hi[k], lo[k], hi[r], lo[r], k.astype(np.float64), r.astype(np.float64), p)
 
 
 def _log_pmf(hi_n, lo_n, hi_k, lo_k, hi_r, lo_r, k, r, p):
@@ -146,9 +156,40 @@ def _log_pmf(hi_n, lo_n, hi_k, lo_k, hi_r, lo_r, k, r, p):
     return s + e
 
 
+# By Bernstein's inequality (Hoeffding, JASA 58 (1963) 13-30), a
+# Binomial(n, p) count X has P(|X - np| >= t) <= 2 exp(-T) at
+# t = T/3 + sqrt((T/3)^2 + 2T np(1-p)).  At T = 760 the pmf of every count
+# that far from np is below 2 exp(-760), so its log-pmf, computed to about
+# 1e-12 relative, is below -759, and np.exp of anything below -745.2 is
+# exactly 0.0.
+_BERNSTEIN_EXPONENT = 760.0
+
+
+def _support(n: int, p: float) -> np.ndarray:
+    """The counts pmf_vector evaluates: [floor(np - t), ceil(np + t)] within [0, n], and 0 and n."""
+    _check_probability(p)
+    third = _BERNSTEIN_EXPONENT / 3.0
+    t = third + math.sqrt(third * third + 2.0 * _BERNSTEIN_EXPONENT * n * p * (1.0 - p))
+    lo, hi = max(0, math.floor(n * p - t)), min(n, math.ceil(n * p + t))
+    # one more count at each end where an atom is outside, then the atoms there
+    k = np.arange(lo - (lo > 0), hi + 1 + (hi < n))
+    k[0], k[-1] = 0, n
+    return k
+
+
 def pmf_vector(n: int, p: float) -> np.ndarray:
-    """Binomial(n, p) pmf at every k = 0..n (exp of the log-pmf)."""
-    return np.exp(log_pmf_vector(n, p))
+    """Binomial(n, p) pmf at every k = 0..n (exp of the log-pmf).
+
+    The log-pmf is evaluated only at _support(n, p); every other entry is
+    0.0, which is what np.exp of its log-pmf gives (see
+    _BERNSTEIN_EXPONENT).  At n = 10^5 and p = 0.01 that is 2,507 of
+    100,001 counts.
+    """
+    k = _support(n, p)
+    values = np.exp(log_pmf_at(n, p, k))  # its temporaries freed before the n + 1 doubles
+    pmf = np.zeros(n + 1)
+    pmf[k] = values
+    return pmf
 
 
 def neumaier_sum(values, start: int = 0, stop: int | None = None) -> float:
@@ -195,11 +236,22 @@ def prune_window(pmf: np.ndarray, eps: float) -> tuple[int, int]:
     Each tail is one np.cumsum, which adds in index order, so its prefixes
     are exactly the running dropped masses of an entry-by-entry scan, and
     the first prefix that reaches eps/4 ends that tail.  The upper tail is
-    scanned only down to lo, so the two tails never overlap.
+    scanned only down to lo, so the two tails never overlap.  Only the
+    span from the first to the last nonzero entry of [1, n-1] is summed:
+    with eps > 0 the zeros outside it keep a running mass of 0 or of the
+    whole span, so they are dropped exactly when the entry-by-entry scan
+    drops them.
     """
     pmf = np.asarray(pmf, dtype=np.float64)
     n = pmf.size - 1
     budget = eps / 4.0
-    lo = 1 + _dropped(pmf[1:n], budget)
-    hi = n - 1 - _dropped(pmf[lo:n][::-1], budget)
-    return lo, hi
+    if budget == 0.0:
+        return 1, n - 1
+    nonzero = np.flatnonzero(pmf[1:n])
+    if nonzero.size == 0:
+        return max(1, n), n - 1
+    start, stop = 1 + int(nonzero[0]), 2 + int(nonzero[-1])
+    lo = start + _dropped(pmf[start:stop], budget)
+    if lo == stop:  # the whole span dropped, and the zeros after it
+        return n, n - 1
+    return lo, stop - 1 - _dropped(pmf[lo:stop][::-1], budget)

@@ -157,9 +157,10 @@ class Margin:
 
 # Cap on the pmf doubles of a grid's distinct margins, the sum of n + 1
 # over them: 2^23 doubles are 64 MiB.  run_grid checks it from the (n, p)
-# keys before any margin is built, since building one peaks at about 185
-# bytes per unit of n, 80 of them kept by the log-factorial table (176 MB
-# and 0.56 s at n = 10^6 on a 2-core x86-64 VM, Python 3.11).
+# keys before any margin is built, since building one peaks at about 25
+# bytes per unit of n, 16 of them kept by the log-factorial table (23 MB
+# and 0.35-0.55 s at n = 10^6, from an empty table, on a 2-core x86-64 VM,
+# Python 3.11).
 _MAX_MARGIN_DOUBLES = 2 ** 23
 
 

@@ -29,9 +29,10 @@ estimable" entries, never a crash.
 """
 
 import csv
+import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 
 import numpy as np
@@ -69,16 +70,19 @@ class Subject:
     outcomes: tuple
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LongitudinalDataset:
     """Complete-case cohort: every subject has all n_visits outcomes.
 
-    ids holds the subject ids (file order for wide input, first-seen
-    order for long), exposed a read-only bool per subject and outcomes a
-    read-only int8 matrix of 0/1, subjects x visits.
+    ids holds the subject ids as str (file order for wide input,
+    first-seen order for long), exposed a read-only bool per subject and
+    outcomes a read-only int8 matrix of 0/1, subjects x visits.  ids may
+    be given as an array of ASCII bytes, as the plain parser reads them:
+    they are kept so, and decoded on the first read of ids or subjects,
+    which the analysis does not need.
     """
 
-    ids: tuple
+    _ids: object = field(repr=False)  # a tuple of str, or an array of ASCII bytes
     exposed: np.ndarray
     outcomes: np.ndarray
     n_visits: int
@@ -86,22 +90,30 @@ class LongitudinalDataset:
     exposed_label: str
     unexposed_label: str
 
-    def __post_init__(self):
-        ids = tuple(self.ids)
-        exposed = np.array(self.exposed, dtype=bool)
-        outcomes = np.array(self.outcomes, dtype=np.int8)
-        if exposed.shape != (len(ids),) or outcomes.shape != (len(ids), self.n_visits):
+    def __init__(self, ids, exposed, outcomes, n_visits: int, dropped_incomplete: int,
+                 exposed_label: str, unexposed_label: str):
+        if not (isinstance(ids, np.ndarray) and ids.dtype.kind == "S"):
+            ids = tuple(ids)
+        exposed = np.array(exposed, dtype=bool)
+        outcomes = np.array(outcomes, dtype=np.int8)
+        if exposed.shape != (len(ids),) or outcomes.shape != (len(ids), n_visits):
             raise ValueError(
                 f"{len(ids)} ids need exposed of shape ({len(ids)},) and outcomes of shape "
-                f"({len(ids)}, {self.n_visits}), got {exposed.shape} and {outcomes.shape}"
+                f"({len(ids)}, {n_visits}), got {exposed.shape} and {outcomes.shape}"
             )
         if not np.isin(outcomes, (0, 1)).all():
             raise ValueError("outcomes must be 0 or 1")
         exposed.setflags(write=False)
         outcomes.setflags(write=False)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "exposed", exposed)
-        object.__setattr__(self, "outcomes", outcomes)
+        for name, value in (("_ids", ids), ("exposed", exposed), ("outcomes", outcomes),
+                            ("n_visits", n_visits), ("dropped_incomplete", dropped_incomplete),
+                            ("exposed_label", exposed_label), ("unexposed_label", unexposed_label)):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def ids(self) -> tuple:
+        """The subject ids as a tuple of str."""
+        return _decoded(self._ids)
 
     @property
     def n_exposed(self) -> int:
@@ -109,7 +121,7 @@ class LongitudinalDataset:
 
     @property
     def n_unexposed(self) -> int:
-        return len(self.ids) - self.n_exposed
+        return len(self.exposed) - self.n_exposed
 
     @property
     def subjects(self) -> tuple:
@@ -118,6 +130,13 @@ class LongitudinalDataset:
             Subject(id=sid, exposed=exposed, outcomes=tuple(outcomes))
             for sid, exposed, outcomes in zip(self.ids, self.exposed.tolist(), self.outcomes.tolist())
         )
+
+
+def _decoded(ids) -> tuple:
+    """ids as a tuple of str; ids is a tuple of str or an array of ASCII bytes."""
+    if isinstance(ids, np.ndarray):
+        return tuple(map(bytes.decode, ids.tolist()))
+    return ids
 
 
 def _check_exposure_labels(values_seen: dict, exposed_value: str, any_rows: bool) -> tuple[str, str]:
@@ -257,10 +276,10 @@ def _long_dataset(
     )
 
 
-def _kept(ids, keep: np.ndarray) -> tuple:
-    """The ids where keep holds, as str; ids is an iterable of str or an array of ASCII bytes."""
+def _kept(ids, keep: np.ndarray):
+    """The ids where keep holds: an array of ASCII bytes stays one, any other iterable gives a tuple."""
     if isinstance(ids, np.ndarray):
-        return tuple(map(bytes.decode, ids[keep].tolist()))
+        return ids[keep]
     return tuple(compress(ids, keep.tolist()))
 
 

@@ -7,7 +7,9 @@ The loop oracles keep the entry-by-entry scans that the package's
 vectorised neumaier_sum and prune_window must reproduce bit for bit, the
 row-by-row parsers, table count and risks that the columnar ingest must
 reproduce exactly, and the replication-by-replication Monte-Carlo count
-that the batched oracle must reproduce exactly.  mask_cover_sums is the
+that the batched oracle must reproduce exactly.  full_pmf_vector is the
+pmf evaluated at every count, which pmf_vector's evaluation on the support
+alone must reproduce bit for bit.  mask_cover_sums is the
 coverage kernel as it was before its separable test: the interval of every
 cell from log_wald_bounds, row sums of np.where arrays, then math.fsum.
 """
@@ -18,6 +20,7 @@ import math
 import numpy as np
 from scipy.stats import binom as _sbinom
 
+from condrisk import binomial
 from condrisk.coverage import true_conditional_risks
 from condrisk.errors import ParseError
 from condrisk.measures import StratifiedTables, StratumTable, log_wald_bounds, stratum_rr_estimate
@@ -88,6 +91,13 @@ def loop_log_factorial(n):
         hi.append(s)
         lo.append(e)
     return hi[:n + 1], lo[:n + 1]
+
+
+def full_pmf_vector(n, p):
+    """np.exp of binomial._log_pmf at every k = 0..n, 0 < p < 1, on views of the whole table."""
+    hi, lo = binomial._LFACT.arrays(n)
+    k = np.arange(n + 1, dtype=np.float64)
+    return np.exp(binomial._log_pmf(hi[n], lo[n], hi, lo, hi[::-1], lo[::-1], k, k[::-1], p))
 
 
 def loop_neumaier_sum(values, start=0, stop=None):

@@ -1,23 +1,25 @@
 """Log-space binomial machinery: accuracy, vector/scalar identity, pruning."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from condrisk import binomial, coverage
 from condrisk.binomial import (
     _LogFactorialTable,
     binom_log_pmf,
-    log_pmf_vector,
+    log_pmf_at,
     neumaier_sum,
     pmf_vector,
     prune_window,
 )
 from condrisk.errors import DomainError
 
-from _oracles import loop_log_factorial, loop_neumaier_sum, loop_prune_window
+from _oracles import full_pmf_vector, loop_log_factorial, loop_neumaier_sum, loop_prune_window
 
 mp.mp.dps = 50
 
@@ -71,7 +73,7 @@ class TestLogPmf:
 
     @pytest.mark.parametrize("n,p", [(1, 0.37), (23, 0.08), (500, 0.5), (2000, 0.91)])
     def test_vector_matches_scalar_bitwise(self, n, p):
-        vec = log_pmf_vector(n, p)
+        vec = log_pmf_at(n, p, np.arange(n + 1))
         for k in range(n + 1):
             assert vec[k] == binom_log_pmf(n, k, p), k
 
@@ -220,14 +222,69 @@ class TestLogFactorialArrays:
         for n in (1, 2, 17, 1000, 10**5):  # grown in steps, as requests arrive
             table.ensure(n)
         hi, lo = loop_log_factorial(10**5)
-        assert table._hi == hi and table._lo == lo
+        assert table._hi.tolist() == hi and table._lo.tolist() == lo
 
     def test_arrays_are_kept_and_match_the_table(self):
         table = _LogFactorialTable()
         hi, lo = table.arrays(50)
-        assert hi.tolist() == table._hi[:51] and lo.tolist() == table._lo[:51]
+        assert hi.tolist() == table._hi[:51].tolist() and lo.tolist() == table._lo[:51].tolist()
         again, _ = table.arrays(30)
         assert np.shares_memory(hi, again)  # no new conversion below the kept size
         grown, grown_lo = table.arrays(200)
-        assert grown.tolist() == table._hi[:201] and grown_lo.tolist() == table._lo[:201]
+        assert grown.tolist() == table._hi[:201].tolist() and grown_lo.tolist() == table._lo[:201].tolist()
         assert not hi.flags.writeable
+
+    def test_table_holds_two_doubles_per_k(self):
+        tracemalloc.start()
+        try:
+            table = _LogFactorialTable()
+            for n in (1000, 10**5):
+                table.ensure(n)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 16 * (10**5 + 1) + 1024  # the lock and the two array headers: under 1 kB
+
+
+# p log-uniform down to 1e-9, and the values next to and at the middle
+_PROBABILITIES = st.one_of(
+    st.sampled_from([0.5, 1 - 1e-9]),
+    st.floats(math.log(1e-9), 0.0, exclude_max=True).map(math.exp).filter(lambda p: p < 1.0),
+)
+
+
+class TestSupportOnlyPmf:
+    """A margin built from the support alone equals the one built from every count, bit for bit."""
+
+    @given(n=st.one_of(st.sampled_from([1, 2, 3, 500, 2000]), st.integers(1, 2 * 10**5)),
+           p=_PROBABILITIES, eps=st.sampled_from([0.0, 1e-12, 1e-8, 1e-7]))
+    @settings(max_examples=60, deadline=None)
+    def test_margin_equals_full_evaluation(self, n, p, eps):
+        full = full_pmf_vector(n, p)
+        outside = np.ones(n + 1, dtype=bool)
+        outside[binomial._support(n, p)] = False
+        assert not full[outside].any()
+        lo, hi = loop_prune_window(full, eps)
+        margin = coverage._margin(n, p, eps)
+        assert margin.pmf.tobytes() == full.tobytes()
+        assert (margin.lo, margin.hi) == (lo, hi)
+        assert margin.tail == neumaier_sum(full, 1, lo) + neumaier_sum(full, max(lo, hi + 1), n)
+        assert margin.atoms == float(full[0]) + float(full[n])
+
+    @pytest.mark.parametrize("n,p", [(500, 0.3), (2000, 0.5), (3, 0.9)])
+    def test_support_is_every_count_at_small_n(self, n, p):
+        assert binomial._support(n, p).tolist() == list(range(n + 1))
+
+    def test_support_at_large_n_is_a_small_share(self):
+        k = binomial._support(10**5, 0.01)
+        assert k[0] == 0 and k[-1] == 10**5 and k.size < 3000
+
+    def test_margin_at_n_1e5_allocates_under_1_mb(self):
+        binomial._LFACT.arrays(10**5)  # the table already grown
+        tracemalloc.start()
+        try:
+            coverage._margin(10**5, 0.01, 1e-12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the pmf itself is 0.8 MB

@@ -262,7 +262,7 @@ class TestVisitBound:
 # are drawn plain (no padding, quoting or blank rows), the files the byte
 # tokenizer reads; their injected faults make it decline.
 _IDS = ["s1", "s2", "s3", "a,b", "c\nd", "e f"]
-_PLAIN_IDS = ["s1", "s2", "s3", "s01", "S:4/x"]
+_PLAIN_IDS = ["s1", "s2", "s3", "s01", "S:4/x", "subject-0001", "subject-0002"]  # some over 8 bytes
 _BLANKS = ["", "   ", " , ,  , ", ",,,", ","]
 _EXPOSED_VALUES = ["E", "E", "E", "N", "Q"]
 
@@ -519,6 +519,15 @@ class TestPlainPath:
                     assert _spied(parse, source, "exposed") == (want, False)
             results.append(want)
         assert results[0] == results[1]
+
+    def test_analysis_leaves_the_ids_undecoded(self):
+        wide, long_ = _cohort_texts()
+        for parse, text in ((parse_dataset, wide), (parse_long_dataset, long_)):
+            with mock.patch.object(ingest, "_decoded", wraps=ingest._decoded) as decode:
+                ds = parse(io.StringIO(text), "exposed")
+                analyze(ds)
+                assert decode.call_count == 0
+                assert ds.ids == _via_csv(parse, text, "exposed")[0]
 
     @pytest.mark.parametrize("case", list(_DECLINES))
     def test_declines_to_the_csv_reader(self, tmp_path, case):
