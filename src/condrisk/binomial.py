@@ -53,9 +53,11 @@ class _LogFactorialTable:
     """ln(n!) as double-double pairs, grown on demand.
 
     _hi and _lo are array('d'), 8 bytes per entry.  A published array is
-    never changed: ensure builds a larger one of exactly the needed size
-    and replaces it, _lo before _hi, so whoever sees k < len(_hi) finds
-    entry k in both, and arrays() can hand out views without copying.
+    never changed: ensure builds a larger one and replaces it, _lo before
+    _hi, so whoever sees k < len(_hi) finds entry k in both, and arrays()
+    can hand out views without copying.  Each growth adds at least a
+    sixteenth of the size, so growing one k at a time costs amortized O(1)
+    per entry.
     """
 
     def __init__(self):
@@ -70,12 +72,12 @@ class _LogFactorialTable:
             size = len(self._hi)
             if n < size:  # another thread grew it meanwhile
                 return
-            # array * count allocates exactly; growing by append would over-allocate by 1/16
-            hi, lo = array("d", [0.0]) * (n + 1), array("d", [0.0]) * (n + 1)
+            grown = max(n + 1, size + size // 16)
+            hi, lo = array("d", [0.0]) * grown, array("d", [0.0]) * grown
             hi[:size], lo[:size] = self._hi, self._lo
             log = math.log
             s, e = hi[size - 1], lo[size - 1]
-            for i in range(size, n + 1):
+            for i in range(size, grown):
                 # _two_sum(s, log i) inlined, then e += its residual
                 x = log(i)
                 t = s + x

@@ -74,15 +74,15 @@ class Subject:
 class LongitudinalDataset:
     """Complete-case cohort: every subject has all n_visits outcomes.
 
-    ids holds the subject ids as str (file order for wide input,
+    ids holds the subject ids as a tuple (file order for wide input,
     first-seen order for long), exposed a read-only bool per subject and
-    outcomes a read-only int8 matrix of 0/1, subjects x visits.  ids may
-    be given as an array of ASCII bytes, as the plain parser reads them:
-    they are kept so, and decoded on the first read of ids or subjects,
-    which the analysis does not need.
+    outcomes a read-only int8 matrix of 0/1, subjects x visits.  The
+    parsers keep the ids as they read them, a tuple of str or an array of
+    ASCII bytes, which is decoded on the first read of ids or subjects;
+    the analysis reads neither.
     """
 
-    _ids: object = field(repr=False)  # a tuple of str, or an array of ASCII bytes
+    _ids: object = field(repr=False)  # a tuple, or an array of ASCII bytes from the parser
     exposed: np.ndarray
     outcomes: np.ndarray
     n_visits: int
@@ -92,8 +92,18 @@ class LongitudinalDataset:
 
     def __init__(self, ids, exposed, outcomes, n_visits: int, dropped_incomplete: int,
                  exposed_label: str, unexposed_label: str):
-        if not (isinstance(ids, np.ndarray) and ids.dtype.kind == "S"):
-            ids = tuple(ids)
+        self._set(tuple(ids), exposed, outcomes, n_visits, dropped_incomplete,
+                  exposed_label, unexposed_label)
+
+    @classmethod
+    def _parsed(cls, ids, *args, **kwargs) -> "LongitudinalDataset":
+        """The dataset with ids kept as a parser gives them: a tuple of str or an array of ASCII bytes."""
+        data = cls.__new__(cls)
+        data._set(ids, *args, **kwargs)
+        return data
+
+    def _set(self, ids, exposed, outcomes, n_visits: int, dropped_incomplete: int,
+             exposed_label: str, unexposed_label: str) -> None:
         exposed = np.array(exposed, dtype=bool)
         outcomes = np.array(outcomes, dtype=np.int8)
         if exposed.shape != (len(ids),) or outcomes.shape != (len(ids), n_visits):
@@ -112,7 +122,7 @@ class LongitudinalDataset:
 
     @functools.cached_property
     def ids(self) -> tuple:
-        """The subject ids as a tuple of str."""
+        """The subject ids as a tuple."""
         return _decoded(self._ids)
 
     @property
@@ -133,7 +143,7 @@ class LongitudinalDataset:
 
 
 def _decoded(ids) -> tuple:
-    """ids as a tuple of str; ids is a tuple of str or an array of ASCII bytes."""
+    """ids as a tuple: an array of ASCII bytes decoded to str, a tuple as it is."""
     if isinstance(ids, np.ndarray):
         return tuple(map(bytes.decode, ids.tolist()))
     return ids
@@ -235,7 +245,7 @@ def _wide_dataset(
     complete = ~(y == _EMPTY).any(axis=1)
     exposed_label, unexposed_label = _check_exposure_labels(labels, exposed_value, len(y) > 0)
     kept = _kept(ids, complete)
-    return LongitudinalDataset(
+    return LongitudinalDataset._parsed(
         ids=kept,
         exposed=label[complete] == labels.get(exposed_value, -1),
         outcomes=y[complete],
@@ -265,7 +275,7 @@ def _long_dataset(
     outcomes = np.zeros((int(np.count_nonzero(complete)), n_visits), dtype=np.int8)
     outcomes[(np.cumsum(complete) - 1)[subject[keep]], visit[keep] - 1] = y[keep]
     exposed_label, unexposed_label = _check_exposure_labels(labels, exposed_value, len(subject) > 0)
-    return LongitudinalDataset(
+    return LongitudinalDataset._parsed(
         ids=_kept(ids, complete),
         exposed=subject_label[complete] == labels.get(exposed_value, -1),
         outcomes=outcomes,

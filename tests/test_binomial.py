@@ -234,6 +234,17 @@ class TestLogFactorialArrays:
         assert grown.tolist() == table._hi[:201].tolist() and grown_lo.tolist() == table._lo[:201].tolist()
         assert not hi.flags.writeable
 
+    def test_growing_one_k_at_a_time_builds_few_arrays(self):
+        table = _LogFactorialTable()
+        growths, last, top = 0, table._hi, 20000
+        for n in range(2, top + 1):
+            table.ensure(n)
+            if table._hi is not last:
+                growths, last = growths + 1, table._hi
+        assert growths < 150  # each growth adds at least a sixteenth; 20,000 at exact size
+        assert len(table._hi) <= top + top // 16 + 1
+        assert table._hi.tolist() == loop_log_factorial(len(table._hi) - 1)[0]
+
     def test_table_holds_two_doubles_per_k(self):
         tracemalloc.start()
         try:

@@ -529,6 +529,14 @@ class TestPlainPath:
                 assert decode.call_count == 0
                 assert ds.ids == _via_csv(parse, text, "exposed")[0]
 
+    def test_visit_keys_past_32_bits_do_not_collide(self):
+        # 85,900 subjects and T = 50,000: subject 85,899 at visit 17,297 has the
+        # (subject, visit) key 85,899 * T + 17,297 = 2**32 + 1, which 32-bit
+        # arithmetic would wrap onto subject 0's key at visit 1
+        rows = [f"s{i},E,1,1" for i in range(85899)] + ["s85899,E,17297,1", "s1,E,50000,0"]
+        got, used_csv = _spied(parse_long_dataset, "id,exposure,visit,y\n" + "\n".join(rows) + "\n")
+        assert not used_csv and got[4] == 85900  # parsed as bytes, every subject dropped
+
     @pytest.mark.parametrize("case", list(_DECLINES))
     def test_declines_to_the_csv_reader(self, tmp_path, case):
         parse, text, old, new = _DECLINES[case]
@@ -623,6 +631,13 @@ class TestColumnarAnalysis:
         assert again.exposed.tolist() == ds.exposed.tolist()
         assert again.outcomes.tolist() == ds.outcomes.tolist()
         assert subjects[0] == Subject("s1", True, (1, 0, 1))
+
+    def test_constructor_takes_any_iterable_of_ids_as_a_tuple(self):
+        ds = LongitudinalDataset(
+            ids=iter(["s1", "s2"]), exposed=[True, False], outcomes=[[0, 1], [1, 1]],
+            n_visits=2, dropped_incomplete=0, exposed_label="E", unexposed_label="N",
+        )
+        assert ds.ids == ("s1", "s2") and ds.n_unexposed == 1
 
 
 class TestBuildTables:
