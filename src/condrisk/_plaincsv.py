@@ -8,10 +8,11 @@ outcomes 0, 1 or empty.  read_wide and read_long raise Declined on any
 other input, and on every row fault the csv reader path of ingest
 reports, so that path parses such input from the start and is the only
 one that raises ParseError.  The input is held one block of about
-BLOCK_BYTES at a time, and per row only its id, label code, visit and
-outcome codes.  read_long then groups the rows by id with one stable
-argsort of the ids; at its peak it holds about 28 bytes per row more than
-it returns.
+BLOCK_BYTES at a time, and per row only its id, label code, int32 visit
+and outcome code, each column in one buffer: 6 bytes plus the id.
+read_long then groups the rows by id with one stable argsort of the ids;
+at its peak, while the sort's row order is cast to int32, it holds about
+12 bytes per row more than the columns.
 """
 
 from itertools import chain
@@ -19,8 +20,10 @@ from itertools import chain
 import numpy as np
 
 BLOCK_BYTES = 1 << 16  # bytes read at once
+CHUNK_ROWS = 1 << 16  # sorted ids compared at once
 NAME_BYTES = 64  # longest id or exposure label decoded
 VISIT_DIGITS = 18  # most digits of a visit decoded, so every visit fits int64
+INT32_MAX = np.iinfo(np.int32).max  # largest visit kept; bound of int32 row and cell numbers
 EMPTY = 2  # outcome code of an empty field
 
 
@@ -51,13 +54,12 @@ def read_wide(read) -> tuple:
         [b"id", b"exposure", *(b"y%d" % v for v in range(1, n_visits + 1))]
     ))
     labels = {}
-    ids, codes, y = [np.empty(0, "S1")], [np.empty(0, np.int8)], [np.empty((0, n_visits), np.int8)]
-    for block in chain([rest], blocks):
-        a, starts, ends = _fields(block, n_visits + 2)
-        ids.append(_names(a, starts[:, 0], ends[:, 0]))
-        codes.append(_label_codes(a, starts[:, 1], ends[:, 1], labels))
-        y.append(_outcome_codes(a, starts[:, 2:], ends[:, 2:]))
-    return np.concatenate(ids), labels, np.concatenate(codes), np.concatenate(y)
+    ids, codes, y = _columns(chain([rest], blocks), n_visits + 2, lambda a, starts, ends: (
+        _names(a, starts[:, 0], ends[:, 0]),
+        _label_codes(a, starts[:, 1], ends[:, 1], labels),
+        _outcome_codes(a, starts[:, 2:], ends[:, 2:]),
+    ))
+    return ids, labels, codes, y
 
 
 def read_long(read) -> tuple:
@@ -70,50 +72,92 @@ def read_long(read) -> tuple:
     header, rest = _header(blocks)
     _require(header == b"id,exposure,visit,y")
     labels = {}
-    sids, codes, visits, ys = (
-        [np.empty(0, "S1")], [np.empty(0, np.int8)], [np.empty(0, np.int64)], [np.empty(0, np.int8)]
-    )
-    for block in chain([rest], blocks):
-        a, starts, ends = _fields(block, 4)
-        sids.append(_names(a, starts[:, 0], ends[:, 0]))
-        codes.append(_label_codes(a, starts[:, 1], ends[:, 1], labels))
-        visits.append(_visit_numbers(a, starts[:, 2], ends[:, 2]))
-        ys.append(_outcome_codes(a, starts[:, 3], ends[:, 3]))
-    visit = np.concatenate(visits)
-    del visits
+    sid, label, visit, y = _columns(chain([rest], blocks), 4, lambda a, starts, ends: (
+        _names(a, starts[:, 0], ends[:, 0]),
+        _label_codes(a, starts[:, 1], ends[:, 1], labels),
+        _visit_numbers(a, starts[:, 2], ends[:, 2]),
+        _outcome_codes(a, starts[:, 3], ends[:, 3]),
+    ))
     n_visits = int(visit.max(initial=0))
     _require(2 <= n_visits <= len(visit) and visit.min() > 0)
-    sid = np.concatenate(sids)
-    del sids
     # One stable sort groups the rows by id and keeps each id's rows in
     # file order, so the first row of a group is the id's first-seen row.
-    order = np.argsort(sid, kind="stable")
-    key = sid[order]
-    starts = np.concatenate(([True], key[1:] != key[:-1]))
-    del key
-    number_type = np.int32 if len(visit) <= np.iinfo(np.int32).max else np.int64
-    group = np.cumsum(starts, dtype=number_type)
-    group -= 1
+    # Row and subject numbers are int32 where the rows allow.
+    number_type = np.int32 if len(visit) <= INT32_MAX else np.int64
+    order = np.argsort(sid, kind="stable").astype(number_type, copy=False)
+    starts = _run_starts(sid, order)
     first = order[starts]  # each group's first row, groups in id order
-    del starts
     seen = np.argsort(first)  # groups in first-seen order
+    first.sort()  # first[seen], in place
+    ids, subject_label = sid[first], label[first]
+    del sid, first
     number = np.empty(len(seen), dtype=number_type)
     number[seen] = np.arange(len(seen), dtype=number_type)
+    del seen
+    group = np.cumsum(starts, dtype=number_type)
+    del starts
+    group -= 1
+    group = number[group]  # each sorted row's subject number
+    del number
     subject = np.empty(len(visit), dtype=number_type)
-    subject[order] = number[group]
-    del order, group, number
-    first = first[seen]
-    label = np.concatenate(codes)
-    subject_label = label[first]
+    subject[order] = group
+    del order, group
     _require((label == subject_label[subject]).all())
     del label
-    key = subject.astype(np.int64)  # subject * n_visits may not fit the subject dtype
+    key = subject.astype(cell_type(len(ids), n_visits))
     key *= n_visits
     key += visit
     key.sort()
     _require(not (key[1:] == key[:-1]).any())
     del key
-    return sid[first], labels, subject_label, subject, visit, np.concatenate(ys), n_visits
+    return ids, labels, subject_label, subject, visit, y, n_visits
+
+
+def cell_type(n_subjects: int, n_visits: int):
+    """int32, or int64 when the subjects x visits cells do not all have an int32 number."""
+    return np.int32 if n_subjects * n_visits <= INT32_MAX else np.int64
+
+
+def _run_starts(sid, order) -> np.ndarray:
+    """Whether each row of sid[order] starts a run of equal ids, compared CHUNK_ROWS at a time."""
+    starts = np.empty(len(order), dtype=bool)
+    starts[:1] = True
+    for i in range(0, len(order), CHUNK_ROWS):
+        key = sid[order[i:i + CHUNK_ROWS + 1]]
+        starts[i + 1:i + len(key)] = key[1:] != key[:-1]
+    return starts
+
+
+def _columns(blocks, width: int, decode) -> list:
+    """The row columns of a plain file, decode(*_fields(block, width)) giving each block's.
+
+    Each column grows in one buffer, by an eighth when full: NumPy
+    resizes it with realloc, which can move a large buffer by remapping
+    its pages rather than copying them, and zero-fills the new rows, so a
+    small step touches few pages the rows never fill.  An id
+    column is widened when a block has wider ids, at most NAME_BYTES
+    times.  The buffers are trimmed to the rows at the end.
+    """
+    columns, size = [], 0
+    for block in blocks:
+        parts = decode(*_fields(block, width))
+        if not columns:
+            columns = [np.empty((0, *part.shape[1:]), dtype=part.dtype) for part in parts]
+        end = size + len(parts[0])
+        for i, part in enumerate(parts):
+            column = columns[i]
+            if part.itemsize > column.itemsize:  # wider ids: copy the rows so far
+                column = np.empty(column.shape, dtype=part.dtype)
+                column[:size] = columns[i][:size]
+            if end > len(column):
+                # No view of a buffer outlives a statement here, so none is left dangling.
+                column.resize((max(end, len(column) * 9 // 8), *column.shape[1:]), refcheck=False)
+            column[size:end] = part
+            columns[i] = column
+        size = end
+    for column in columns:
+        column.resize((size, *column.shape[1:]), refcheck=False)
+    return columns
 
 
 def _blocks(read):
@@ -202,7 +246,7 @@ def _outcome_codes(a, starts, ends) -> np.ndarray:
 
 
 def _visit_numbers(a, starts, ends) -> np.ndarray:
-    """Visits of 1 to VISIT_DIGITS ASCII digits; declines on any other field."""
+    """Visits of 1 to VISIT_DIGITS ASCII digits, as int32; declines on any other field or one over INT32_MAX."""
     lengths = ends - starts
     _require(lengths.min(initial=1) > 0 and lengths.max(initial=1) <= VISIT_DIGITS)
     visits = np.zeros(len(starts), dtype=np.int64)
@@ -211,4 +255,5 @@ def _visit_numbers(a, starts, ends) -> np.ndarray:
         digit = a[np.minimum(starts + k, ends)] - 48
         _require((digit[more] <= 9).all())
         visits = np.where(more, visits * 10 + digit, visits)
-    return visits
+    _require(visits.max(initial=0) <= INT32_MAX)
+    return visits.astype(np.int32)

@@ -35,9 +35,18 @@ def _process_pool(max_workers: int):
     return ProcessPoolExecutor(max_workers=max_workers)
 
 
+def usable_cpus():
+    """The number of CPUs this process may run on: its affinity set where
+    the platform has one (a restricted cpuset holds fewer than the host),
+    else os.cpu_count(), which may be None."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def worker_count(threads: int, jobs: int) -> int:
-    """Worker processes map_jobs uses: min(threads, jobs, CPUs), at least 1."""
-    return max(1, min(threads, jobs, os.cpu_count() or 1))
+    """Worker processes map_jobs uses: min(threads, jobs, usable CPUs), at least 1."""
+    return max(1, min(threads, jobs, usable_cpus() or 1))
 
 
 def _run_all(fn, jobs: list) -> list:

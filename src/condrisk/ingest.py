@@ -14,9 +14,9 @@ rule).  A dataset holds only complete subjects, as columns: their ids, a
 read-only exposure flag per subject and a read-only subjects x visits
 int8 outcome matrix; Subject records are built only on request.  Parsing
 holds one block of input (on the csv path, one row) and, per row, its id
-and a few bytes of codes; the csv reader keeps a long file's ids as an
-id table, and the (subject, visit) of each row in a set, so that a
-duplicate visit is found at its row.  A long file whose largest visit
+and 6 bytes of codes (an int32 visit, label and outcome codes); the csv
+reader keeps a long file's ids as an id table, and the (subject, visit)
+of each row in a set, so that a duplicate visit is found at its row.  A long file whose largest visit
 exceeds its number of observation rows is rejected, since no subject can
 then have every visit, so parse and analysis work stay linear in the
 input size.
@@ -111,7 +111,7 @@ class LongitudinalDataset:
                 f"{len(ids)} ids need exposed of shape ({len(ids)},) and outcomes of shape "
                 f"({len(ids)}, {n_visits}), got {exposed.shape} and {outcomes.shape}"
             )
-        if not np.isin(outcomes, (0, 1)).all():
+        if not ((outcomes == 0) | (outcomes == 1)).all():
             raise ValueError("outcomes must be 0 or 1")
         exposed.setflags(write=False)
         outcomes.setflags(write=False)
@@ -272,8 +272,18 @@ def _long_dataset(
         np.bincount(subject[y == _EMPTY], minlength=n_subjects) == 0
     )
     keep = complete[subject]
-    outcomes = np.zeros((int(np.count_nonzero(complete)), n_visits), dtype=np.int8)
-    outcomes[(np.cumsum(complete) - 1)[subject[keep]], visit[keep] - 1] = y[keep]
+    n_complete = int(np.count_nonzero(complete))
+    # Each kept row's flat cell row * n_visits + visit - 1, as int32 when every cell number fits
+    cell = np.cumsum(complete, dtype=_plaincsv.cell_type(n_complete, n_visits))
+    cell = cell[subject[keep]]
+    cell -= 1
+    cell *= n_visits
+    cell += visit[keep]
+    cell -= 1
+    outcomes = np.zeros(n_complete * n_visits, dtype=np.int8)
+    outcomes[cell] = y[keep]
+    del cell, keep
+    outcomes = outcomes.reshape(n_complete, n_visits)
     exposed_label, unexposed_label = _check_exposure_labels(labels, exposed_value, len(subject) > 0)
     return LongitudinalDataset._parsed(
         ids=_kept(ids, complete),

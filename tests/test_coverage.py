@@ -3,7 +3,6 @@
 import dataclasses
 import io
 import math
-import os
 import pickle
 import re
 import sys
@@ -415,7 +414,7 @@ class TestGrids:
         pool, created = recording_pool
         monkeypatch.setattr(_run, "_process_pool", pool)
         monkeypatch.setattr(coverage, "_CELLS_PER_WORKER", 1)  # cells never cap here
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(_run, "usable_cpus", lambda: 4)
         grid = self.small_grid()
         serial = run_grid(grid)
         assert run_grid(grid, threads=100000) == serial
@@ -423,7 +422,7 @@ class TestGrids:
         two_points = dataclasses.replace(grid, n_e_axis=(30,), rho_e_axis=(0.1,))
         assert run_grid(two_points, threads=100000) == run_grid(two_points)
         for cpus in (None, 1):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(_run, "usable_cpus", lambda: cpus)
             assert run_grid(grid, threads=100000) == serial
         assert created == [4, 3, 2]
 
@@ -478,7 +477,7 @@ class TestGridWork:
     def test_small_grid_starts_no_pool(self, monkeypatch, recording_pool):
         pool, created = recording_pool
         monkeypatch.setattr(_run, "_process_pool", pool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(_run, "usable_cpus", lambda: 4)
         for stratum in (1, 0):
             run_grid(dataclasses.replace(PAPER_SLICE, stratum=stratum), threads=2)
         assert created == []
@@ -486,7 +485,7 @@ class TestGridWork:
     def test_paper_grid_gets_a_worker_per_cell_quota(self, monkeypatch, recording_pool):
         pool, created = recording_pool
         monkeypatch.setattr(_run, "_process_pool", pool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(_run, "usable_cpus", lambda: 4)
         # only the worker count matters here, not the points' results
         monkeypatch.setattr(coverage, "_evaluate_point", lambda item: item)
         log = io.StringIO()
@@ -505,7 +504,7 @@ class TestGridWork:
                 return map(fn, tasks)
 
         monkeypatch.setattr(_run, "_process_pool", lambda max_workers: PicklingPool([], max_workers))
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(_run, "usable_cpus", lambda: 2)
         monkeypatch.setattr(coverage, "_evaluate_point", lambda item: item)
         items = run_grid(paper_grid(), threads=2)
         assert [item[0] for item in items] == list(paper_grid().points())

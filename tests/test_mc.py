@@ -3,7 +3,6 @@
 import io
 import itertools
 import math
-import os
 from unittest import mock
 
 import numpy as np
@@ -381,7 +380,7 @@ class TestWorkerCap:
     def test_workers_capped_by_jobs_and_cpus(self, monkeypatch, recording_pool):
         pool, created = recording_pool
         monkeypatch.setattr(_run, "_process_pool", pool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(_run, "usable_cpus", lambda: 4)
         s = spec(n_e=20, n_ne=20, reps=30)
         serial = mc_coverage(s, threads=1)
         assert mc_coverage(s, threads=100000) == serial
@@ -400,12 +399,21 @@ class TestWorkerCap:
         assert rec == oracle_record(20, 20, 0.5, 0.5, 0.1, 0.1, 1, 0.95, "cohort", 30, 7)
         assert created == []
 
+    def test_cpus_are_the_affinity_set_not_the_host(self, monkeypatch):
+        monkeypatch.setattr(_run.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(_run.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert _run.usable_cpus() == 1
+        assert _run.worker_count(8, 8) == 1
+        monkeypatch.delattr(_run.os, "sched_getaffinity", raising=False)
+        assert _run.usable_cpus() == 64
+        assert _run.worker_count(8, 8) == 8
+
     def test_one_cpu_or_unknown_runs_in_process(self, monkeypatch, recording_pool):
         pool, created = recording_pool
         monkeypatch.setattr(_run, "_process_pool", pool)
         s = spec(n_e=20, n_ne=20, reps=30)
         serial = mc_coverage(s, margin_model="cohort", threads=1)
         for cpus in (None, 1):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(_run, "usable_cpus", lambda: cpus)
             assert mc_coverage(s, margin_model="cohort", threads=100000) == serial
         assert created == []
