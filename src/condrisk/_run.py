@@ -1,5 +1,8 @@
 """The result-table format and the worker-pool policy all commands share.
 
+A command decides its worker count once, with worker_count, and passes
+that count to map_jobs, which starts exactly that many workers.
+
 Imports no NumPy and nothing else heavy: compare, which needs no NumPy,
 loads none, and the parser takes MARGIN_MODELS from here without slowing
 `--version`.
@@ -45,23 +48,26 @@ def usable_cpus():
 
 
 def worker_count(threads: int, jobs: int) -> int:
-    """Worker processes map_jobs uses: min(threads, jobs, usable CPUs), at least 1."""
-    return max(1, min(threads, jobs, usable_cpus() or 1))
+    """Worker processes for jobs independent jobs: min(threads, jobs, usable CPUs), at least 1.
+
+    The CPUs are counted only when threads and jobs both allow a pool.
+    """
+    workers = min(threads, jobs)
+    return min(workers, usable_cpus() or 1) if workers > 1 else 1
 
 
 def _run_all(fn, jobs: list) -> list:
     return [fn(job) for job in jobs]
 
 
-def map_jobs(fn, jobs: list, threads: int) -> list:
-    """[fn(job) for job in jobs] over worker_count(threads, len(jobs)) processes.
+def map_jobs(fn, jobs: list, workers: int) -> list:
+    """[fn(job) for job in jobs] over workers processes, as the caller decided (worker_count).
 
     With one worker, no pool starts.  A pool gets one task per worker,
     the jobs dealt round-robin, and pickles fn and each task as one
     object: an object many jobs share, such as a grid's margin, is sent
     once per worker, not once per job.  fn must be a module-level function.
     """
-    workers = worker_count(threads, len(jobs))
     if workers == 1:
         return _run_all(fn, jobs)
     results = [None] * len(jobs)

@@ -116,21 +116,14 @@ def binom_log_pmf(n: int, k: int, p: float) -> float:
     """
     if not 0 <= k <= n:
         raise DomainError(f"k must be in [0, n], got k={k}, n={n}")
-    _check_probability(p)
-    if p == 0.0:
-        return 0.0 if k == 0 else -math.inf
-    if p == 1.0:
-        return 0.0 if k == n else -math.inf
-    _LFACT.ensure(n)
-    hi, lo = _LFACT._hi, _LFACT._lo
-    return _log_pmf(hi[n], lo[n], hi[k], lo[k], hi[n - k], lo[n - k], float(k), float(n - k), p)
+    return float(log_pmf_at(n, p, np.array(k)))
 
 
 def log_pmf_at(n: int, p: float, k: np.ndarray) -> np.ndarray:
     """ln pmf of Binomial(n, p) at each count of k, an int array within [0, n].
 
-    The same :func:`_log_pmf` as :func:`binom_log_pmf`, on arrays;
-    the two paths agree bit-for-bit.
+    A bad p raises DomainError and p = 0 or 1 is a point mass, both
+    before the log-factorial table grows to n.
     """
     _check_probability(p)
     if p == 0.0 or p == 1.0:

@@ -398,32 +398,19 @@ def _coverage_row(rec: GridRecord) -> list:
     ] + [_fmt(v) for v in tail]
 
 
-_GRID_AXIS_KEYS = {
-    "n_E": "n_e_axis",
-    "n_nonE": "n_ne_axis",
-    "pi_E": "pi_e_axis",
-    "pi_nonE": "pi_ne_axis",
-    "rho_E": "rho_e_axis",
-    "rho_nonE": "rho_ne_axis",
+# Each grid-file key's GridSpec field and value type.  An *_axis field
+# takes values separated by spaces or commas, any other field one value.
+_GRID_KEYS = {
+    "n_E": ("n_e_axis", int),
+    "n_nonE": ("n_ne_axis", int),
+    "pi_E": ("pi_e_axis", float),
+    "pi_nonE": ("pi_ne_axis", float),
+    "rho_E": ("rho_e_axis", float),
+    "rho_nonE": ("rho_ne_axis", float),
+    "stratum": ("stratum", int),
+    "level": ("level", float),
+    "prune_epsilon": ("prune_epsilon", float),
 }
-_GRID_SCALAR_KEYS = ("stratum", "level", "prune_epsilon")
-
-
-def _parse_axis(key: str, raw: str, lineno: int):
-    tokens = raw.replace(",", " ").split()
-    if not tokens:
-        raise ParseError(f"axis {key} has no values", line=lineno)
-    out = []
-    for tok in tokens:
-        try:
-            if key.startswith("n_"):
-                value = int(tok)
-            else:
-                value = float(tok)
-        except ValueError:
-            raise ParseError(f"invalid value {tok!r} for {key}", line=lineno) from None
-        out.append(value)
-    return tuple(out)
 
 
 def parse_grid_file(source) -> GridSpec:
@@ -439,8 +426,7 @@ def parse_grid_file(source) -> GridSpec:
     else:
         with open(source, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
-    axes = {}
-    scalars = {}
+    fields = {}
     for lineno, rawline in enumerate(lines, start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -449,32 +435,29 @@ def parse_grid_file(source) -> GridSpec:
             raise ParseError(f"expected 'key = values', got {rawline.strip()!r}", line=lineno)
         key, _, raw = line.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if key in _GRID_AXIS_KEYS:
-            if key in axes:
-                raise ParseError(f"duplicate key {key}", line=lineno)
-            axes[key] = _parse_axis(key, raw, lineno)
-        elif key in _GRID_SCALAR_KEYS:
-            if key in scalars:
-                raise ParseError(f"duplicate key {key}", line=lineno)
-            try:
-                if key == "stratum":
-                    value = int(raw)
-                    if value not in (0, 1):
-                        raise ValueError
-                else:
-                    value = float(raw)
-            except ValueError:
-                raise ParseError(f"invalid value {raw!r} for {key}", line=lineno) from None
-            scalars[key] = value
-        else:
+        if key not in _GRID_KEYS:
             raise ParseError(f"unknown key {key!r}", line=lineno)
-    missing = [k for k in _GRID_AXIS_KEYS if k not in axes]
+        name, kind = _GRID_KEYS[key]
+        if name in fields:
+            raise ParseError(f"duplicate key {key}", line=lineno)
+        axis = name.endswith("_axis")
+        tokens = raw.replace(",", " ").split() if axis else [raw.strip()]
+        if not tokens:
+            raise ParseError(f"axis {key} has no values", line=lineno)
+        values = []
+        for token in tokens:
+            try:
+                value = kind(token)
+                if name == "stratum" and value not in (0, 1):
+                    raise ValueError
+            except ValueError:
+                raise ParseError(f"invalid value {token!r} for {key}", line=lineno) from None
+            values.append(value)
+        fields[name] = tuple(values) if axis else values[0]
+    missing = [key for key, (name, _) in _GRID_KEYS.items() if name.endswith("_axis") and name not in fields]
     if missing:
         raise ParseError(f"missing required axis keys: {', '.join(missing)}")
-    kwargs = {attr: axes[key] for key, attr in _GRID_AXIS_KEYS.items()}
-    kwargs.update(scalars)
     try:
-        return GridSpec(**kwargs)
+        return GridSpec(**fields)
     except DomainError as exc:
         raise ParseError(str(exc)) from None

@@ -12,7 +12,9 @@ equal.
 Subjects with any missing outcome are dropped and counted (complete-case
 rule).  A dataset holds only complete subjects, as columns: their ids, a
 read-only exposure flag per subject and a read-only subjects x visits
-int8 outcome matrix; Subject records are built only on request.  Parsing
+int8 outcome matrix; Subject records are built only on request.  The
+dataset constructor keeps an id array of ASCII bytes (S dtype) as it is,
+so the byte path's ids are decoded only when they are read.  Parsing
 holds one block of input (on the csv path, one row) and, per row, its id
 and 6 bytes of codes (an int32 visit, label and outcome codes); the csv
 reader keeps a long file's ids as an id table, and the (subject, visit)
@@ -77,12 +79,14 @@ class LongitudinalDataset:
     ids holds the subject ids as a tuple (file order for wide input,
     first-seen order for long), exposed a read-only bool per subject and
     outcomes a read-only int8 matrix of 0/1, subjects x visits.  The
-    parsers keep the ids as they read them, a tuple of str or an array of
-    ASCII bytes, which is decoded on the first read of ids or subjects;
-    the analysis reads neither.
+    constructor keeps ids given as an array of ASCII bytes (NumPy S
+    dtype), as the byte path reads them, and decodes it on the first read
+    of ids or subjects, which the analysis never does; any other iterable
+    of ids becomes a tuple.  It checks that outcomes hold only 0 and 1
+    before it stores them as int8.
     """
 
-    _ids: object = field(repr=False)  # a tuple, or an array of ASCII bytes from the parser
+    _ids: object = field(repr=False)  # a tuple, or an array of ASCII bytes
     exposed: np.ndarray
     outcomes: np.ndarray
     n_visits: int
@@ -92,20 +96,10 @@ class LongitudinalDataset:
 
     def __init__(self, ids, exposed, outcomes, n_visits: int, dropped_incomplete: int,
                  exposed_label: str, unexposed_label: str):
-        self._set(tuple(ids), exposed, outcomes, n_visits, dropped_incomplete,
-                  exposed_label, unexposed_label)
-
-    @classmethod
-    def _parsed(cls, ids, *args, **kwargs) -> "LongitudinalDataset":
-        """The dataset with ids kept as a parser gives them: a tuple of str or an array of ASCII bytes."""
-        data = cls.__new__(cls)
-        data._set(ids, *args, **kwargs)
-        return data
-
-    def _set(self, ids, exposed, outcomes, n_visits: int, dropped_incomplete: int,
-             exposed_label: str, unexposed_label: str) -> None:
+        if not (isinstance(ids, np.ndarray) and ids.dtype.kind == "S"):
+            ids = tuple(ids)
         exposed = np.array(exposed, dtype=bool)
-        outcomes = np.array(outcomes, dtype=np.int8)
+        outcomes = np.asarray(outcomes)
         if exposed.shape != (len(ids),) or outcomes.shape != (len(ids), n_visits):
             raise ValueError(
                 f"{len(ids)} ids need exposed of shape ({len(ids)},) and outcomes of shape "
@@ -113,6 +107,7 @@ class LongitudinalDataset:
             )
         if not ((outcomes == 0) | (outcomes == 1)).all():
             raise ValueError("outcomes must be 0 or 1")
+        outcomes = outcomes.astype(np.int8)  # checked first, so no value wraps into 0 or 1
         exposed.setflags(write=False)
         outcomes.setflags(write=False)
         for name, value in (("_ids", ids), ("exposed", exposed), ("outcomes", outcomes),
@@ -147,16 +142,6 @@ def _decoded(ids) -> tuple:
     if isinstance(ids, np.ndarray):
         return tuple(map(bytes.decode, ids.tolist()))
     return ids
-
-
-def _check_exposure_labels(values_seen: dict, exposed_value: str, any_rows: bool) -> tuple[str, str]:
-    if any_rows and exposed_value not in values_seen:
-        labels = ", ".join(repr(v) for v in values_seen) or "none"
-        raise ParseError(
-            f"exposed value {exposed_value!r} not present in exposure column (found: {labels})"
-        )
-    others = [v for v in values_seen if v != exposed_value]
-    return exposed_value, others[0] if others else ""
 
 
 def _blank(row) -> bool:
@@ -238,22 +223,9 @@ def _parse(source, plain, fallback):
 def _wide_dataset(
     ids, labels: dict, label: np.ndarray, y: np.ndarray, exposed_value: str,
 ) -> LongitudinalDataset:
-    """The dataset of a wide file's rows: id, exposure label code and outcome codes of each.
-
-    labels maps each exposure label to its code, in first-seen order.
-    """
+    """The dataset of a wide file's rows: id, exposure label code and outcome codes of each."""
     complete = ~(y == _EMPTY).any(axis=1)
-    exposed_label, unexposed_label = _check_exposure_labels(labels, exposed_value, len(y) > 0)
-    kept = _kept(ids, complete)
-    return LongitudinalDataset._parsed(
-        ids=kept,
-        exposed=label[complete] == labels.get(exposed_value, -1),
-        outcomes=y[complete],
-        n_visits=y.shape[1],
-        dropped_incomplete=len(y) - len(kept),
-        exposed_label=exposed_label,
-        unexposed_label=unexposed_label,
-    )
+    return _dataset(ids, labels, label, complete, y[complete], exposed_value)
 
 
 def _long_dataset(
@@ -283,24 +255,33 @@ def _long_dataset(
     outcomes = np.zeros(n_complete * n_visits, dtype=np.int8)
     outcomes[cell] = y[keep]
     del cell, keep
-    outcomes = outcomes.reshape(n_complete, n_visits)
-    exposed_label, unexposed_label = _check_exposure_labels(labels, exposed_value, len(subject) > 0)
-    return LongitudinalDataset._parsed(
-        ids=_kept(ids, complete),
-        exposed=subject_label[complete] == labels.get(exposed_value, -1),
+    return _dataset(ids, labels, subject_label, complete, outcomes.reshape(n_complete, n_visits),
+                    exposed_value)
+
+
+def _dataset(ids, labels: dict, label: np.ndarray, complete: np.ndarray, outcomes: np.ndarray,
+             exposed_value: str) -> LongitudinalDataset:
+    """The dataset of the complete subjects, from each subject's id and exposure label code.
+
+    ids is an array of ASCII bytes or an iterable of str; labels maps
+    each exposure label to its code, in first-seen order; outcomes holds
+    the complete subjects' outcomes.
+    """
+    if len(label) > 0 and exposed_value not in labels:
+        found = ", ".join(repr(v) for v in labels) or "none"
+        raise ParseError(
+            f"exposed value {exposed_value!r} not present in exposure column (found: {found})"
+        )
+    others = [v for v in labels if v != exposed_value]
+    return LongitudinalDataset(
+        ids=ids[complete] if isinstance(ids, np.ndarray) else compress(ids, complete.tolist()),
+        exposed=label[complete] == labels.get(exposed_value, -1),
         outcomes=outcomes,
-        n_visits=n_visits,
-        dropped_incomplete=n_subjects - len(outcomes),
-        exposed_label=exposed_label,
-        unexposed_label=unexposed_label,
+        n_visits=outcomes.shape[1],
+        dropped_incomplete=len(label) - len(outcomes),
+        exposed_label=exposed_value,
+        unexposed_label=others[0] if others else "",
     )
-
-
-def _kept(ids, keep: np.ndarray):
-    """The ids where keep holds: an array of ASCII bytes stays one, any other iterable gives a tuple."""
-    if isinstance(ids, np.ndarray):
-        return ids[keep]
-    return tuple(compress(ids, keep.tolist()))
 
 
 def _csv_wide(handle) -> tuple:

@@ -270,17 +270,14 @@ def mc_coverage(
     z_quantile(level)  # checks the level
     _, _, true_rr = stratum_risks(spec.params_e, spec.params_ne, stratum)
     reps = spec.reps
-    # Splitting into min(threads, reps) ranges leaves the same non-empty
-    # ranges as splitting into threads ranges; threads below 1 run serially.
-    parts = max(1, min(threads, reps))
-    bounds = [reps * i // parts for i in range(parts + 1)]
+    workers = worker_count(threads, reps)
+    bounds = [reps * i // workers for i in range(workers + 1)]
     jobs = [(spec, stratum, level, margin_model, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if log is not None:
         draws = reps * (4 if margin_model == "cohort" else 2)
-        workers = worker_count(threads, len(jobs))
         plural = "" if workers == 1 else "s"
         log.write(f"oracle: {reps} replications, {draws} binomial draws, {workers} worker{plural}\n")
-    counts = map_jobs(_count_reps_args, jobs, threads)
+    counts = map_jobs(_count_reps_args, jobs, workers)
     covered = sum(cov for cov, _ in counts)
     nondegenerate = sum(nd for _, nd in counts)
     estimate = covered / reps

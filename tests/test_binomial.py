@@ -71,6 +71,16 @@ class TestLogPmf:
         with pytest.raises(DomainError):
             binom_log_pmf(5, 2, 1.5)
 
+    def test_bad_or_degenerate_p_never_grows_the_table(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"table grown to {n}")
+
+        monkeypatch.setattr(binomial._LFACT, "ensure", refuse)
+        with pytest.raises(DomainError):
+            binom_log_pmf(10**9, 0, 1.5)
+        assert binom_log_pmf(10**9, 0, 0.0) == 0.0
+        assert binom_log_pmf(10**9, 10**9, 1.0) == 0.0
+
     @pytest.mark.parametrize("n,p", [(1, 0.37), (23, 0.08), (500, 0.5), (2000, 0.91)])
     def test_vector_matches_scalar_bitwise(self, n, p):
         vec = log_pmf_at(n, p, np.arange(n + 1))

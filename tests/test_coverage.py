@@ -606,7 +606,7 @@ rho_E = 0.1, 0.9   # correlations
 rho_nonE = 0.5
 
 stratum = 0
-level = 0.9
+level = 0.9  # a comment after a scalar
 prune_epsilon = 1e-10
 """
 
@@ -651,6 +651,10 @@ class TestGridFileParser:
             ("n_E =", 1, "no values"),
             ("stratum = 3", 1, "invalid value"),
             ("level = high", 1, "invalid value"),
+            ("level = 0.9,", 1, "invalid value '0.9,' for level"),
+            ("level =", 1, "invalid value '' for level"),
+            ("n_E = 10\nstratum = 1 0", 2, "invalid value '1 0' for stratum"),
+            ("n_E = 10 ten", 1, "invalid value 'ten' for n_E"),
         ],
     )
     def test_malformed_lines_carry_line_numbers(self, text, line, fragment):

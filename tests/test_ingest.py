@@ -678,6 +678,26 @@ class TestColumnarAnalysis:
         )
         assert ds.ids == ("s1", "s2") and ds.n_unexposed == 1
 
+    @pytest.mark.parametrize("outcomes", [np.array([[256, 257]]), np.array([[0.5, 1.9]]), [[256, 257]]],
+                             ids=["int array past int8", "float array", "list past int8"])
+    def test_constructor_checks_outcomes_before_casting_them(self, outcomes):
+        with pytest.raises(ValueError, match="^outcomes must be 0 or 1$"):
+            LongitudinalDataset(
+                ids=("a",), exposed=[True], outcomes=outcomes,
+                n_visits=2, dropped_incomplete=0, exposed_label="E", unexposed_label="N",
+            )
+
+    @pytest.mark.parametrize("outcomes", [np.array([[0.0, 1.0]]), np.array([[False, True]]),
+                                          np.array([[0, 1]], dtype=np.int8)],
+                             ids=["float", "bool", "int8"])
+    def test_constructor_stores_a_copy_of_0_1_outcomes_as_int8(self, outcomes):
+        ds = LongitudinalDataset(
+            ids=("a",), exposed=[True], outcomes=outcomes,
+            n_visits=2, dropped_incomplete=0, exposed_label="E", unexposed_label="N",
+        )
+        assert ds.outcomes.dtype == np.int8 and ds.outcomes.tolist() == [[0, 1]]
+        assert not np.shares_memory(ds.outcomes, outcomes)
+
 
 class TestBuildTables:
     def test_four_subject_example(self):

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from condrisk import __version__, _run, mc
 from condrisk.compare import compare_point
-from condrisk.coverage import Scenario, exact_coverage, paper_grid, true_conditional_risks
+from condrisk.coverage import GridSpec, Scenario, exact_coverage, paper_grid, run_grid, true_conditional_risks
 from condrisk.errors import DomainError
 from condrisk.mc import (
     MARGIN_MODELS,
@@ -407,6 +407,20 @@ class TestWorkerCap:
         monkeypatch.delattr(_run.os, "sched_getaffinity", raising=False)
         assert _run.usable_cpus() == 64
         assert _run.worker_count(8, 8) == 8
+
+    def test_one_worker_is_decided_without_counting_cpus(self, monkeypatch, recording_pool):
+        def uncounted():
+            raise AssertionError("usable_cpus called")
+
+        pool, created = recording_pool
+        monkeypatch.setattr(_run, "_process_pool", pool)
+        monkeypatch.setattr(_run, "usable_cpus", uncounted)
+        assert _run.worker_count(1, 8) == 1 and _run.worker_count(8, 1) == 1
+        # 16 points whose few window cells hold the grid to one worker
+        grid = GridSpec((20, 30), (20, 30), (0.3, 0.5), (0.3, 0.5), (0.5,), (0.5,))
+        assert len(run_grid(grid, threads=2)) == 16
+        assert mc_coverage(spec(n_e=20, n_ne=20, reps=30), threads=1).reps == 30
+        assert created == []
 
     def test_one_cpu_or_unknown_runs_in_process(self, monkeypatch, recording_pool):
         pool, created = recording_pool
