@@ -1,123 +1,167 @@
-"""The exact coverage kernel: a blocked NumPy enumeration of the count window.
+"""The exact coverage kernel: each row's covered counts as one certified interval.
 
-For every pair of outcome counts (a, c) inside the retained windows the
-kernel decides whether the log-scale Wald interval of
-measures.log_wald_bounds (the same function the estimators call) covers
-the true ratio, and accumulates the joint probability mass of the covering
-and the non-covering pairs.
-
-The interval covers RR exactly when
-|log(a/n_e) - log(c/n_ne) - log RR| <= z*sqrt(v_e + v_ne), with
-v = (1 - r)/(n*r) for each risk r.  That test separates: log(a/n_e) - log RR
-and v_e are computed once per row (fixed a), log(c/n_ne) and v_ne once per
-column, so a cell costs a subtraction, a square root and two comparisons
-instead of a division and two exponentials.  A cell whose two sides lie
-within _BAND of each other is decided again by log_wald_bounds itself; the
-comment at _BAND shows why every other cell gets log_wald_bounds' answer
-too, so the coverage mask is the one log_wald_bounds gives.
-
-The window is processed in blocks of whole rows (fixed a) of at most
-_BLOCK_CELLS cells, so working memory is O(block + n) however large the
-window is.  Each row is summed with NumPy, and the row masses are combined
-with math.fsum: the result depends only on the inputs, never on a block
-or thread layout above it, and no BLAS call is involved.
+For every count pair (a, c) in the retained windows the kernel decides
+whether the log-scale Wald interval of measures.log_wald_bounds covers the
+true ratio, and sums the joint pmf of the covering and non-covering pairs.
+With d = log(a/n_e) - log RR - log(c/n_ne), h = z*sqrt(v_e + v_ne) and
+v = (1 - r)/(n*r), "upper >= RR" is d + h >= 0 and "lower <= RR" is
+d - h <= 0; a test within _BAND of 0 is decided again by log_wald_bounds.
+In a row the upper test holds on a prefix of the columns and the lower
+test on a suffix of the interior ones, so the covered interior columns
+are one run [s, e): guessed by the closed form from a seed where the
+point estimate is RR, then certified by probes.  Columns outside the
+interior are decided one at a time (proofs at _BAND).  A row's cover is
+P[e] - P[s], P the prefix sums of the non-exposed pmf window, plus the pmf
+of each covered edge column in column order; its noncover is P[W] minus
+that.  Each scenario's rows, times the exposed pmf, take one math.fsum.
+Rows run in chunks of under 2 _BATCH_ROWS, so memory is O(_BATCH_ROWS +
+window); all row arithmetic is elementwise, so the sums never depend on
+the chunks or on a thread layout.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from .measures import log_wald_bounds
 
-__all__ = ["cover_sums", "covered_blocks"]
+__all__ = ["batch_cover_sums", "cover_sums", "packed"]
 
-_BLOCK_CELLS = 1 << 16
+# Rows per kernel chunk, and per batch of run_grid's points.
+_BATCH_ROWS = 4096
 
-# Why a cell with |m| > _BAND, m = |row - col| - h, is decided as
-# log_wald_bounds decides it.  Let u = 2**-53, r_e = a/n_e, r_ne = c/n_ne,
-# L = log max(n_e, n_ne), and let h be the computed z*sqrt(v_e + v_ne): both
+# Why a test with |m| > _BAND, m = d -+ h, is decided as log_wald_bounds
+# decides it.  Let u = 2**-53, r_e = a/n_e, r_ne = c/n_ne,
+# L = log max(n_e, n_ne), and h the computed z*sqrt(v_e + v_ne): both
 # computations form it with the same operations, so it is the same double.
-# In exact arithmetic with this h, the cell is covered iff
-# M = |log r_e - log r_ne - log RR| - h <= 0.
+# In exact arithmetic with this h, the test is the sign of
+# M = log r_e - log r_ne - log RR -+ h.
 # - log_wald_bounds tests point*exp(-h) <= RR and RR <= point*exp(h).  Its
 #   two quotients and the point cost 3u of relative error, exp (a few ulp)
-#   and the product 5u more; in logs each test is one branch of M, moved
-#   by at most 8u.
-# - Here the errors are: 1u for the quotient, 4u|log r| per log, u|log RR|,
-#   and one rounding of each subtraction, absolute.  A cell that could fall
-#   on the other side of 0 has |m| <= _BAND, so |row - col| ~ h, and then
-#   |log RR| <= 2L + h and |row| <= L + h: the total is at most
-#   2u + 11uL + 3uh.
+#   and the product 5u more: in logs, M moved by at most 8u.
+# - Here: 1u per quotient, 4u|log x| per log, and one rounding of each
+#   subtraction, absolute.  A test that could fall on the other side of 0
+#   has |m| <= _BAND, so |d| ~ h, |log RR| <= 2L + h and |row| <= L + h:
+#   at most 2u + 17uL + 6uh in all.
 # Every r is at least 1/n, each v = 1/count - 1/n is at most 1, and z < 8.3
 # for any level below 1, so h < 12.  Even at n = 10^9 (L < 21), the two
-# errors add up to under 270u, about 3e-14.  If m > _BAND, M and both
-# branches seen by log_wald_bounds are positive; if m < -_BAND, all are
-# negative.  _BAND is about 10^4 times the sum of the two errors.
+# errors add up to under 450u, about 5e-14, and _BAND is 2*10^4 times that.
+# If m > _BAND, M and the value log_wald_bounds sees are positive; if
+# m < -_BAND, both are negative.
 _BAND = 1e-9
 
+# Why the tests are monotone.  Fix a; let R = log(a/n_e) - log RR,
+# B = 1/a - 1/n_e >= 0, h = z*sqrt(B + 1/c - 1/n_ne), g = log(c/n_ne) - h
+# and f = log(c/n_ne) + h: the upper test is g <= R, the lower f >= R.  In
+# x = log c, g' >= 1 and f' = 1 - z/(2c*sqrt(B + 1/c - 1/n_ne)) >=
+# 1 - z/(2*sqrt(q)), q = c(1 - c/n_ne) concave, so f' >= 1/2 between the
+# interior columns: from the first to the last with q >= z^2.  So from
+# column to column g grows by at least log(1 + 1/c) >= 1/n_ne, and f by
+# 1/(2 n_ne) in the interior: over 5e-10 up to n_ne = 10^9, while
+# log_wald_bounds' tests move by at most 8u plus h's rounding (6u of
+# h < 12), about 9e-15.  So its upper test holds on a prefix of the window
+# and its lower test on a suffix of the interior; rounding q moves the
+# threshold by a few ulp, which the margin in f' absorbs.
 
-def _log_risk_and_var(counts, n):
-    """log(k/n) and v = (1 - r)/(n*r) at r = k/n, v as log_wald_bounds forms it."""
-    risk = counts / n
-    return np.log(risk), (1.0 - risk) / (n * risk)
+
+def _row_sums(pieces, z):
+    """Each row's weighted (cover, noncover), as lists, over pieces (scenario, a_lo, a_hi)."""
+    windows = [sc[1][sc[4]:sc[5] + 1] for sc, _, _ in pieces]
+    widths = np.array([w.size for w in windows])
+    counts = np.array([hi + 1 - lo for _, lo, hi in pieces])
+    start = np.cumsum(widths) - widths
+    c = np.concatenate([np.arange(sc[4], sc[5] + 1, dtype=np.float64) for sc, _, _ in pieces])
+    n_e, n_ne, rr = (np.array(v) for v in zip(*(sc[6:] for sc, _, _ in pieces)))
+    n_col = np.repeat(n_ne, widths)
+    risk = c / n_col  # v = (1 - r)/(n*r) as log_wald_bounds forms it, here and for the rows
+    col, col_var, interior = np.log(risk), (1.0 - risk) / (n_col * risk), c * (1.0 - risk) >= z * z
+    prefix = np.concatenate([np.concatenate(([0.0], w.cumsum())) for w in windows])
+    bounds = np.array([(f[0], f[-1] + 1) if (f := np.flatnonzero(interior[s:s + w])).size else (w, w)
+                       for s, w in zip(start, widths)])
+    # each row with its piece's values; pfx is its window's P[0] in prefix
+    piece = np.repeat(np.arange(len(pieces)), counts)
+    a = np.concatenate([np.arange(lo, hi + 1, dtype=np.float64) for _, lo, hi in pieces])
+    weight = np.concatenate([sc[0][lo:hi + 1] for sc, lo, hi in pieces])
+    n_e, n_ne, rr, first_col, width = n_e[piece], n_ne[piece], rr[piece], start[piece], widths[piece]
+    (j0, j1), c_lo, pfx = bounds[piece].T, c[first_col], first_col + piece
+    risk = a / n_e
+    row, row_var = np.log(risk) - np.log(rr), (1.0 - risk) / (n_e * risk)
+
+    def holds(i, j, upper):
+        """The upper (or lower) test at the rows of index array i and window offsets j."""
+        k = first_col[i] + j
+        h = np.sqrt(row_var[i] + col_var[k]) * z
+        m = row[i] - col[k] + (h if upper else -h)
+        ok = m >= 0.0 if upper else m <= 0.0
+        near = np.flatnonzero(np.abs(m) <= _BAND)
+        if near.size:
+            r = i[near]
+            _, _, lower, upper_rr = log_wald_bounds(a[r], n_e[r], c[k[near]], n_ne[r], z, xp=np)
+            ok[near] = rr[r] <= upper_rr if upper else lower <= rr[r]
+        return ok
+
+    def first(lo, hi, j, upper):
+        """Per row, the first offset in [lo, hi) where the upper test fails or the lower holds, else hi.
+
+        The closed form guesses it, with h at the seed j, then at each guess:
+        the lower test's h a column early makes a guess exact once the one
+        before is right or one too high.  Probes at the guess and one below
+        settle the rows it is right for; bisection settles the others.
+        """
+        for _ in range(3):
+            h = np.sqrt(row_var + col_var[first_col + np.clip(j - (not upper), 0, width - 1)]) * z
+            x = n_ne * np.exp(np.minimum(row + h if upper else row - h, 700.0))  # no overflow
+            j = np.clip((np.floor(x) + 1.0 if upper else np.ceil(x)) - c_lo, 0, width).astype(np.int64)
+        i, step = np.arange(lo.size), 0
+        while (i := i[lo[i] < hi[i]]).size:
+            mid = np.clip(j[i] - step if step < 2 else (lo[i] + hi[i]) >> 1, lo[i], hi[i] - 1)
+            found = holds(i, mid, upper) != upper
+            hi[i[found]], lo[i[~found]], step = mid[found], mid[~found] + 1, step + 1
+        return lo
+
+    seed = np.clip(np.floor(a * n_ne / (n_e * rr)) - c_lo, 0, width - 1).astype(np.int64)
+    e = first(np.zeros_like(width), width.copy(), seed, True)
+    s = first(j0.copy(), np.minimum(e, j1), seed, False)
+    cover = prefix[pfx + np.maximum(np.minimum(e, j1), s)] - prefix[pfx + s]
+    # the edge columns of each row, in column order, added in that order
+    pairs = [(np.repeat(np.arange(r0, r0 + n), cols.size), np.tile(cols, n))
+             for r0, n, (lo, hi), w in zip(np.cumsum(counts) - counts, counts, bounds, widths)
+             if (cols := np.r_[0:lo, hi:w]).size]
+    if pairs:
+        r, j = (np.concatenate(part) for part in zip(*pairs))
+        ok = (j < e[r]) & holds(r, j, False)
+        np.add.at(cover, r, np.where(ok, np.concatenate(windows)[first_col[r] + j], 0.0))
+    noncover = prefix[pfx + width] - cover
+    return (weight * cover).tolist(), (weight * noncover).tolist()
 
 
-def covered_blocks(a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z, true_rr):
-    """Coverage masks of the window [a_lo, a_hi] x [c_lo, c_hi], by blocks of whole rows.
+def packed(items, sizes, cap):
+    """Consecutive items in lists, by the multiple of cap their first row is past (so under 2 cap rows)."""
+    groups = itertools.groupby(zip(itertools.accumulate(sizes, initial=0), items), lambda p: p[0] // cap)
+    return [[item for _, item in group] for _, group in groups]
 
-    Yields (a0, covered): covered[i, j] says whether the interval of
-    (a0 + i, c_lo + j) covers true_rr, exactly as log_wald_bounds decides.
-    The windows hold 0 < a < n_e and 0 < c < n_ne.  The mask is a buffer
-    that the next block overwrites.
+
+def batch_cover_sums(scenarios, z):
+    """Yield (cover, noncover) of each scenario (pa, pc, a_lo, a_hi, c_lo, c_hi, n_e, n_ne, true_rr).
+
+    pa and pc are the float64 pmfs of the outcome counts (index = count);
+    the inclusive windows are non-empty, within 0 < a < n_e, 0 < c < n_ne.
     """
-    c = np.arange(c_lo, c_hi + 1, dtype=np.float64)
-    col, col_var = _log_risk_and_var(c, n_ne)
-    log_rr = math.log(true_rr)
-    rows = max(1, _BLOCK_CELLS // max(1, c.size))
-    shape = (max(0, min(rows, a_hi - a_lo + 1)), c.size)
-    margin, half, covered = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-    for start in range(a_lo, a_hi + 1, rows):
-        k = min(rows, a_hi + 1 - start)
-        a = np.arange(start, start + k, dtype=np.float64)
-        row, row_var = _log_risk_and_var(a, n_e)
-        m, h, cov = margin[:k], half[:k], covered[:k]
-        np.subtract((row - log_rr)[:, None], col, out=m)
-        np.abs(m, out=m)
-        np.add(row_var[:, None], col_var, out=h)
-        np.sqrt(h, out=h)
-        h *= z
-        m -= h
-        np.less_equal(m, 0.0, out=cov)
-        np.abs(m, out=m)
-        if m.size and m.min() <= _BAND:
-            i, j = np.nonzero(m <= _BAND)
-            _, _, lower, upper = log_wald_bounds(a[i], n_e, c[j], n_ne, z, xp=np)
-            cov[i, j] = (lower <= true_rr) & (true_rr <= upper)
-        yield start, cov
+    rows = _BATCH_ROWS
+    pieces = [(sc, lo, min(lo + rows - 1, sc[3])) for sc in scenarios for lo in range(sc[2], sc[3] + 1, rows)]
+    covers, noncovers = [], []
+    for chunk in packed(pieces, [hi + 1 - lo for _, lo, hi in pieces], rows):
+        cover, noncover = map(iter, _row_sums(chunk, z))
+        for sc, lo, hi in chunk:
+            covers += itertools.islice(cover, hi + 1 - lo)
+            noncovers += itertools.islice(noncover, hi + 1 - lo)
+            if hi == sc[3]:
+                yield math.fsum(covers), math.fsum(noncovers)
+                covers, noncovers = [], []
 
 
 def cover_sums(pa, pc, a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z, true_rr):
-    """Sum joint pmf mass over covering and non-covering count pairs.
-
-    pa, pc: full float64 pmf arrays for the exposed / non-exposed outcome
-    counts (index = count).  Windows are inclusive.  Returns
-    (cover, noncover): per row (fixed a), pa[a] times the NumPy sum of pc
-    over the covering (non-covering) c, then the rows' math.fsum.
-    """
-    pc_window = pc[c_lo:c_hi + 1]
-    buffer = None
-    cover_rows = []
-    noncover_rows = []
-    for start, covered in covered_blocks(a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z, true_rr):
-        if buffer is None:
-            buffer = np.empty(covered.shape)
-        mass = buffer[:len(covered)]
-        weight = pa[start:start + len(covered)]
-        # For the finite, non-negative pmf, pc*1 = pc, pc*0 = 0, pc - pc = 0
-        # and pc - 0 = pc exactly, so these are np.where(covered, pc, 0) and
-        # then np.where(covered, 0, pc), bit for bit, in one buffer.
-        np.multiply(covered, pc_window, out=mass)
-        cover_rows.extend((weight * mass.sum(axis=1)).tolist())
-        np.subtract(pc_window, mass, out=mass)
-        noncover_rows.extend((weight * mass.sum(axis=1)).tolist())
-    return math.fsum(cover_rows), math.fsum(noncover_rows)
+    """(cover, noncover) of one scenario: batch_cover_sums of a batch of one."""
+    [sums] = batch_cover_sums([(pa, pc, a_lo, a_hi, c_lo, c_hi, n_e, n_ne, true_rr)], z)
+    return sums

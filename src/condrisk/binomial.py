@@ -49,6 +49,19 @@ def _two_prod(a, b):
     return p, err
 
 
+# ensure adds log k a block of k at a time, with no Python loop, and gets
+# the pairs of adding them one at a time: with X_k the exact sum of pair
+# k - 1 and the double log k, exact two-sums and per-k renormalisation
+# store hi = fl(X_k), lo = X_k - hi.  Here the running sums T are one
+# sequential cumsum and E, lo plus the cumsum of the residuals, is exact:
+# each residual is a multiple of 2^-53 (log k > 1/2) below ulp(T)/2, so in
+# a block E stays below 2^11 ulp(T) < 1 for T < 2^41 (any table that fits
+# in memory); a small block also keeps the temporaries small.  So
+# T + E = X_k, one renormalisation gives hi = fl(X_k), and hi - T
+# (Sterbenz) and lo = E - (hi - T) (X_k - hi below ulp(hi)/2) are exact.
+_LOG_BLOCK = 1 << 11
+
+
 class _LogFactorialTable:
     """ln(n!) as double-double pairs, grown on demand.
 
@@ -75,18 +88,15 @@ class _LogFactorialTable:
             grown = max(n + 1, size + size // 16)
             hi, lo = array("d", [0.0]) * grown, array("d", [0.0]) * grown
             hi[:size], lo[:size] = self._hi, self._lo
-            log = math.log
-            s, e = hi[size - 1], lo[size - 1]
-            for i in range(size, grown):
-                # _two_sum(s, log i) inlined, then e += its residual
-                x = log(i)
-                t = s + x
-                bb = t - s
-                e = e + ((s - (t - bb)) + (x - bb))
-                u = t + e  # renormalize
-                s, e = u, e - (u - t)
-                hi[i] = s
-                lo[i] = e
+            out_hi, out_lo = np.frombuffer(hi), np.frombuffer(lo)
+            for k in range(size, grown, _LOG_BLOCK):
+                stop = min(k + _LOG_BLOCK, grown)
+                x = np.fromiter(map(math.log, range(k, stop)), np.float64, stop - k)
+                t = np.concatenate((out_hi[k - 1:k], x)).cumsum()
+                _, residual = _two_sum(t[:-1], x)  # t[1:] is its sum
+                e = np.concatenate((out_lo[k - 1:k], residual)).cumsum()[1:]
+                out_hi[k:stop] = t[1:] + e  # renormalize
+                out_lo[k:stop] = e - (out_hi[k:stop] - t[1:])
             self._lo = lo
             self._hi = hi
 
@@ -194,22 +204,19 @@ def neumaier_sum(values, start: int = 0, stop: int | None = None) -> float:
     That is exact, not an approximation: adding a zero leaves both the
     running sum and its compensation unchanged, so the underflowed tails
     of a large-n pmf can be skipped.  At n = 10^5 and p = 0.01 the span
-    is 2,360 entries.  values may be a list or an array.
+    is 2,360 entries.  values may be a list or an array.  The sums and the
+    compensations of the entry-by-entry loop, bit for bit, are sequential
+    np.cumsums of the entries and of Neumaier's residual of each step.
     """
     span = np.asarray(values[start:stop], dtype=np.float64)
     nonzero = np.flatnonzero(span)
     if nonzero.size == 0:
         return 0.0
-    s = 0.0
-    comp = 0.0
-    for x in span[nonzero[0]:nonzero[-1] + 1].tolist():
-        t = s + x
-        if abs(s) >= abs(x):
-            comp += (s - t) + x
-        else:
-            comp += (x - t) + s
-        s = t
-    return s + comp
+    x = span[nonzero[0]:nonzero[-1] + 1]
+    total = np.cumsum(x)
+    before = np.concatenate(([0.0], total[:-1]))
+    residual = np.where(np.abs(before) >= np.abs(x), (before - total) + x, (x - total) + before)
+    return float(total[-1] + np.cumsum(residual)[-1])
 
 
 def _dropped(tail: np.ndarray, budget: float) -> int:

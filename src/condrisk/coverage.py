@@ -182,40 +182,39 @@ def exact_coverage(scenario: Scenario, prune_epsilon: float = DEFAULT_PRUNE,
                    margins=None) -> CoverageResult:
     """Exact CI coverage for one scenario by full table enumeration.
 
-    Enumerates outcome-count pairs (a, c) with 0 < a < n_e, 0 < c < n_ne
-    inside the pruned windows with the kernel in _backend, whose sums are
-    reproducible to the last bit and independent of any parallel
-    scheduling above it.  margins is the (exposed, non-exposed) Margin
-    pair of the scenario at this prune epsilon, as run_grid passes from
-    the table it builds once per grid; when None, both are built here.
-    Either way they hold the same values, so the result is the same.  The
-    degenerate mass comes from the four atoms (a or c at 0 or at its
-    margin), so it is never negative.  The truncation bound, from the two
-    margins' tail masses, bounds the skipped mass of the computed pmfs,
-    not of the exact binomials (see _TAIL_SLACK).
+    Sums over the count pairs (a, c), 0 < a < n_e and 0 < c < n_ne, in the
+    pruned windows with _backend.cover_sums, reproducible to the last bit.
+    margins is the (exposed, non-exposed) Margin pair at this prune
+    epsilon, as run_grid passes from its table; when None, both are built
+    here, with the same values.  The degenerate mass comes from the four
+    atoms (a or c at 0 or at its margin), so it is never negative.  The
+    truncation bound, from the two margins' tail masses, bounds the skipped
+    mass of the computed pmfs, not of the exact binomials (see _TAIL_SLACK).
     """
     _check_prune(prune_epsilon)
     p_e, p_ne, true_rr = true_conditional_risks(scenario)
     z = z_quantile(scenario.level)
     if margins is None:
         margins = _margin(scenario.n_e, p_e, prune_epsilon), _margin(scenario.n_ne, p_ne, prune_epsilon)
-    margin_a, margin_c = margins
-    if margin_a.lo > margin_a.hi or margin_c.lo > margin_c.hi:
-        cover, noncover = 0.0, 0.0
-    else:
-        cover, noncover = _backend.cover_sums(
-            margin_a.pmf, margin_c.pmf, margin_a.lo, margin_a.hi, margin_c.lo, margin_c.hi,
-            scenario.n_e, scenario.n_ne, z, true_rr,
-        )
-    # P(a degenerate or c degenerate), by inclusion-exclusion over the atoms
-    atoms_a, atoms_c = margin_a.atoms, margin_c.atoms
-    return CoverageResult(
-        true_rr=true_rr,
-        p_c=cover,
-        noncover_mass=noncover,
-        degenerate_mass=atoms_a + atoms_c - atoms_a * atoms_c,
-        truncation_bound=(margin_a.tail + margin_c.tail) * (1.0 + _TAIL_SLACK),
-    )
+    window = _window(scenario.n_e, scenario.n_ne, true_rr, margins)
+    sums = (0.0, 0.0) if window is None else _backend.cover_sums(*window[:8], z, window[8])
+    return _result(true_rr, margins, sums)
+
+
+def _window(n_e: int, n_ne: int, true_rr: float, margins):
+    """The kernel's scenario (pa, pc, a_lo, a_hi, c_lo, c_hi, n_e, n_ne, true_rr); None if no window."""
+    if margins is None or margins[0].lo > margins[0].hi or margins[1].lo > margins[1].hi:
+        return None
+    a, c = margins
+    return a.pmf, c.pmf, a.lo, a.hi, c.lo, c.hi, n_e, n_ne, true_rr
+
+
+def _result(true_rr: float, margins, sums) -> CoverageResult:
+    """The CoverageResult of a scenario from its margins and the kernel's (cover, noncover)."""
+    (a, c), (cover, noncover) = margins, sums
+    # the degenerate mass: P(a or c at an atom), by inclusion-exclusion
+    return CoverageResult(true_rr, cover, noncover, a.atoms + c.atoms - a.atoms * c.atoms,
+                          (a.tail + c.tail) * (1.0 + _TAIL_SLACK))
 
 
 @dataclass(frozen=True)
@@ -284,27 +283,33 @@ class GridRecord:
     error: str | None = None
 
 
-def _evaluate_point(args) -> GridRecord:
-    (n_e, n_ne, pi_e, pi_ne, rho_e, rho_ne), stratum, level, prune, margins = args
-    try:
-        scenario = Scenario(n_e, n_ne, pi_e, pi_ne, rho_e, rho_ne, stratum, level)
-        result = exact_coverage(scenario, prune, margins)
-    except DomainError as exc:
-        return GridRecord(n_e, n_ne, pi_e, pi_ne, rho_e, rho_ne, stratum, level, None, str(exc))
-    return GridRecord(n_e, n_ne, pi_e, pi_ne, rho_e, rho_ne, stratum, level, result)
+def _evaluate_batch(items) -> list:
+    """The GridRecords of grid points (point, stratum, level, true_rr, margins), one kernel call for all."""
+    windows = [_window(point[0], point[1], true_rr, margins) for point, _, _, true_rr, margins in items]
+    sums = _backend.batch_cover_sums([w for w in windows if w is not None], z_quantile(items[0][2]))
+    records = []
+    for (point, stratum, level, true_rr, margins), window in zip(items, windows):
+        try:
+            if margins is None:  # a group is inadmissible: its Scenario raises why
+                Scenario(*point, stratum, level)
+            result = _result(true_rr, margins, (0.0, 0.0) if window is None else next(sums))
+            records.append(GridRecord(*point, stratum, level, result))
+        except DomainError as exc:
+            records.append(GridRecord(*point, stratum, level, None, str(exc)))
+    return records
 
 
 # Window cells per worker a grid needs before run_grid starts a pool (or
-# adds a worker to it).  On a 2-vCPU VM with Python 3.11, starting a pool
-# cost about 0.08 s per command and the kernel ran about 75M cells/s, so
-# 2^24 cells (about 0.22 s in one process) is roughly where a second
-# worker starts to pay.
-_CELLS_PER_WORKER = 2 ** 24
+# adds a worker to it).  On a 2-vCPU VM with Python 3.11 the kernel ran the
+# full paper grid (5.3 x 10^7 cells) in about 0.3 s, and a second worker
+# made that command about 0.1 s slower (0.73 s against 0.63 s), so 2^27
+# cells (about 0.75 s in one process) is roughly where it starts to pay.
+_CELLS_PER_WORKER = 2 ** 27
 
-# Largest single window (W_a x W_c cells) run_grid accepts: about a minute
-# of kernel at 75M cells/s, and over 40,000 times the paper grid's largest
-# window (322 x 322).  --prune 0 at n = 10^5 (10^10 cells) is refused;
-# n = 5000 with --prune 0 (2.5 x 10^7) runs.
+# Largest single window (W_a x W_c cells) run_grid accepts, over 40,000
+# times the paper grid's largest window (322 x 322): --prune 0 at n = 10^5
+# (10^10 cells) is refused; n = 5000 with --prune 0 (2.5 x 10^7) runs.  The
+# kernel's work grows with W_a log W_c, so a cap on rows would be tighter.
 _MAX_WINDOW_CELLS = 2 ** 32
 
 
@@ -333,10 +338,12 @@ def run_grid(grid: GridSpec, threads: int = 1, log=None) -> list:
     _MAX_MARGIN_DOUBLES raise DomainError before any is built.  A point's
     window is W_a x W_c, so the grid's window cells are the exposed sum of
     W times the non-exposed sum; a window over _MAX_WINDOW_CELLS raises
-    DomainError, and at most 1 + cells // _CELLS_PER_WORKER workers start,
-    never more than threads, the CPUs or the points.  log, a text handle,
+    DomainError.  The points run in batches of whole points with at most
+    _backend._BATCH_ROWS kernel rows (exposed windows) together, one
+    kernel call each, on at most 1 + cells // _CELLS_PER_WORKER workers,
+    never more than threads, the CPUs or the batches.  log, a text handle,
     gets one line with the cells, points and workers.  The output is
-    bitwise identical for any thread count.
+    bitwise identical for any thread count or batching.
     """
     groups = [
         _group_keys(grid.n_e_axis, grid.pi_e_axis, grid.rho_e_axis, grid.stratum, "exposed"),
@@ -363,17 +370,20 @@ def run_grid(grid: GridSpec, threads: int = 1, log=None) -> list:
             )
         cells = sum(w for w, _ in widths[0]) * sum(w for w, _ in widths[1])
     exposed, non_exposed = (dict(group) for group in groups)
-    items = []
+    items, rows = [], []
     for point in grid.points():
         n_e, n_ne, pi_e, pi_ne, rho_e, rho_ne = point
         key_e, key_ne = exposed.get((n_e, pi_e, rho_e)), non_exposed.get((n_ne, pi_ne, rho_ne))
         margins = None if key_e is None or key_ne is None else (table[key_e], table[key_ne])
-        items.append((point, grid.stratum, grid.level, grid.prune_epsilon, margins))
-    workers = worker_count(min(threads, 1 + cells // _CELLS_PER_WORKER), len(items))
+        true_rr = None if margins is None else key_e[1] / key_ne[1]
+        items.append((point, grid.stratum, grid.level, true_rr, margins))
+        rows.append(0 if margins is None else max(0, margins[0].hi - margins[0].lo + 1))
+    batches = list(_backend.packed(items, rows, _backend._BATCH_ROWS))
+    workers = worker_count(min(threads, 1 + cells // _CELLS_PER_WORKER), len(batches))
     if log is not None:
         plural = "" if workers == 1 else "s"
         log.write(f"coverage: {cells} window cells in {len(items)} points, {workers} worker{plural}\n")
-    return map_jobs(_evaluate_point, items, workers)
+    return [record for batch in map_jobs(_evaluate_batch, batches, workers) for record in batch]
 
 
 def _fmt(value: float) -> str:

@@ -9,9 +9,9 @@ row-by-row parsers, table count and risks that the columnar ingest must
 reproduce exactly, and the replication-by-replication Monte-Carlo count
 that the batched oracle must reproduce exactly.  full_pmf_vector is the
 pmf evaluated at every count, which pmf_vector's evaluation on the support
-alone must reproduce bit for bit.  mask_cover_sums is the
-coverage kernel as it was before its separable test: the interval of every
-cell from log_wald_bounds, row sums of np.where arrays, then math.fsum.
+alone must reproduce bit for bit.  interval_cover_sums is the coverage
+kernel's documented arithmetic applied to the covered cells that
+log_wald_bounds gives for every cell of the window, one row at a time.
 """
 
 import csv
@@ -64,14 +64,35 @@ def log_wald_mask(a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z, true_rr):
     return (lower <= true_rr) & (true_rr <= upper)
 
 
-def mask_cover_sums(pa, pc, a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z, true_rr):
-    """(cover, noncover) from log_wald_mask: pa[a] times each row's np.where sum, then math.fsum."""
+def interval_cover_sums(pa, pc, a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z, true_rr):
+    """(cover, noncover) by the coverage kernel's documented sums over log_wald_mask's covered set.
+
+    The interior columns run from the first to the last with
+    c(1 - c/n_ne) >= z^2; a row's covered columns among them must be one
+    run [s, e).  The row's cover is P[e] - P[s], P the prefix sums
+    (np.cumsum) of the window's pmf, plus the pmf of each covered column
+    outside the interior, added in column order; its noncover is P[W]
+    minus that.  Each is weighted by pa[a], and the rows go to math.fsum.
+    """
     covered = log_wald_mask(a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z, true_rr)
-    pc_window = pc[c_lo:c_hi + 1]
-    weight = pa[a_lo:a_hi + 1]
-    cover = weight * np.where(covered, pc_window, 0.0).sum(axis=1)
-    noncover = weight * np.where(covered, 0.0, pc_window).sum(axis=1)
-    return math.fsum(cover.tolist()), math.fsum(noncover.tolist())
+    c = np.arange(c_lo, c_hi + 1, dtype=np.float64)
+    inside = np.flatnonzero(c * (1.0 - c / n_ne) >= z * z)
+    interior = np.zeros(c.size, dtype=bool)
+    if inside.size:
+        interior[inside[0]:inside[-1] + 1] = True
+    window = pc[c_lo:c_hi + 1]
+    prefix = np.concatenate(([0.0], np.cumsum(window)))
+    cover, noncover = [], []
+    for a, row in zip(range(a_lo, a_hi + 1), covered):
+        run = np.flatnonzero(row & interior)
+        s, e = (run[0], run[-1] + 1) if run.size else (0, 0)
+        assert run.size == e - s, f"row {a}: covered interior columns {run.tolist()} are not one run"
+        mass = prefix[e] - prefix[s]
+        for j in np.flatnonzero(row & ~interior):
+            mass = mass + window[j]
+        cover.append(pa[a] * mass)
+        noncover.append(pa[a] * (prefix[-1] - mass))
+    return math.fsum(cover), math.fsum(noncover)
 
 
 def loop_log_factorial(n):

@@ -220,6 +220,18 @@ class TestScansMatchLoopOracles:
         assert neumaier_sum(np.array(values), start, stop) == expected
         assert neumaier_sum(values[start:stop]) == expected
 
+    def test_sum_on_seeded_spans_with_zeros_and_tiny_values(self):
+        rng = np.random.default_rng(20261020)
+        for _ in range(3000):
+            size = int(rng.integers(0, 300))
+            values = rng.random(size) * 10.0 ** rng.integers(-300, 1, size=size)
+            values[rng.random(size) < 0.3] = 0.0
+            if rng.random() < 0.3:
+                values *= rng.choice([-1.0, 1.0], size=size)
+            start = int(rng.integers(0, size + 1))
+            stop = int(rng.integers(start, size + 1))
+            assert neumaier_sum(values, start, stop) == loop_neumaier_sum(values, start, stop)
+
     def test_sum_of_a_single_nonzero_entry_among_zeros(self):
         values = [0.0] * 7 + [0.1] + [0.0] * 5
         assert neumaier_sum(values) == 0.1 == loop_neumaier_sum(values)
@@ -232,6 +244,15 @@ class TestLogFactorialArrays:
         for n in (1, 2, 17, 1000, 10**5):  # grown in steps, as requests arrive
             table.ensure(n)
         hi, lo = loop_log_factorial(10**5)
+        assert table._hi.tolist() == hi and table._lo.tolist() == lo
+
+    @pytest.mark.parametrize("steps", [(3, 70000, 70001, 2 * 10**5), (65537, 131073), (2**20,)])
+    def test_uneven_growth_matches_loop_oracle_bitwise(self, steps):
+        # growths that start and end off the block boundaries, and one of 512 blocks
+        table = _LogFactorialTable()
+        for n in steps:
+            table.ensure(n)
+        hi, lo = loop_log_factorial(len(table._hi) - 1)
         assert table._hi.tolist() == hi and table._lo.tolist() == lo
 
     def test_arrays_are_kept_and_match_the_table(self):

@@ -365,7 +365,7 @@ class TestCoverage:
         path.write_text("n_E = 100000\nn_nonE = 100000\npi_E = 0.3\npi_nonE = 0.3\n"
                         "rho_E = 0.5\nrho_nonE = 0.5\n")
         spy = mock.Mock(side_effect=AssertionError("kernel ran"))
-        with mock.patch.object(_backend, "cover_sums", spy):
+        with mock.patch.object(_backend, "batch_cover_sums", spy):
             code = main(["coverage", "--grid", str(path), "--prune", "0",
                          "--out", str(tmp_path / "c.csv")])
         assert code == EXIT_NUMERIC and spy.call_count == 0

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import binom
 
 from condrisk import __version__, _backend, _run, binomial, coverage
-from condrisk._backend import _BLOCK_CELLS
 from condrisk.binomial import pmf_vector, prune_window
 from condrisk.coverage import (
     COVERAGE_CSV_HEADER,
@@ -35,7 +34,7 @@ from condrisk.coverage import (
 from condrisk.errors import DomainError, ParseError
 from condrisk.measures import log_wald_bounds
 
-from _oracles import brute_coverage, log_wald_mask, log_wald_window, mask_cover_sums
+from _oracles import brute_coverage, interval_cover_sums, log_wald_mask, log_wald_window
 from conftest import RecordingPool
 
 
@@ -122,8 +121,9 @@ class TestExactCoverage:
         ids=lambda s: f"n{s.n_e}x{s.n_ne}-s{s.stratum}",
     )
     def test_multi_block_window_matches_brute_force(self, scenario):
-        assert (scenario.n_e - 1) * (scenario.n_ne - 1) > 2 * _BLOCK_CELLS
-        res = exact_coverage(scenario, prune_epsilon=0.0)
+        assert scenario.n_e - 1 > 2 * 64  # rows over several kernel chunks
+        with mock.patch.object(_backend, "_BATCH_ROWS", 64):
+            res = exact_coverage(scenario, prune_epsilon=0.0)
         p_c, noncover, _ = brute_coverage(scenario)
         assert res.p_c == pytest.approx(p_c, abs=1e-12)
         assert res.noncover_mass == pytest.approx(noncover, abs=1e-12)
@@ -247,8 +247,15 @@ def _exact_masses(n: int, p: float, prune: float) -> tuple[Fraction, Fraction]:
 
 
 def _kernel_mask(args):
-    """The kernel's mask of the whole window, its blocks stacked."""
-    return np.concatenate([covered.copy() for _, covered in _backend.covered_blocks(*args)])
+    """The kernel's mask of a window of at most 52 columns: with pc[c_lo + j] = 2^-(j+1) every
+    sum is exact, so each row's cover, at weight 1, holds its covered columns as binary digits."""
+    a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z, true_rr = args
+    pc = np.zeros(n_ne + 1)
+    pc[c_lo:c_hi + 1] = np.ldexp(1.0, -np.arange(1, c_hi - c_lo + 2))
+    scenario = (np.ones(n_e + 1), pc, a_lo, a_hi, c_lo, c_hi, n_e, n_ne, true_rr)
+    rows, _ = _backend._row_sums([(scenario, a_lo, a_hi)], z)
+    digits = np.ldexp(np.array(rows)[:, None], np.arange(1, c_hi - c_lo + 2))
+    return np.floor(digits) % 2 == 1
 
 
 @st.composite
@@ -275,17 +282,17 @@ def kernel_windows(draw):
 
 
 class TestKernel:
-    @given(kernel_windows(), st.sampled_from((1, 7, 64, _BLOCK_CELLS)),
+    @given(kernel_windows(), st.sampled_from((1, 7, 64, 4096)),
            st.floats(0.05, 0.95), st.floats(0.05, 0.95))
     @settings(max_examples=300, deadline=None)
-    def test_separable_mask_equals_log_wald_mask(self, window, block_cells, p_e, p_ne):
+    def test_interval_mask_and_sums_equal_the_oracles(self, window, rows, p_e, p_ne):
         a_lo, a_hi, c_lo, c_hi, n_e, n_ne, _, _ = window
         pa, pc = pmf_vector(n_e, p_e), pmf_vector(n_ne, p_ne)
-        with mock.patch.object(_backend, "_BLOCK_CELLS", block_cells):
+        with mock.patch.object(_backend, "_BATCH_ROWS", rows):
             mask = _kernel_mask(window)
             sums = _backend.cover_sums(pa, pc, *window)
         np.testing.assert_array_equal(mask, log_wald_mask(*window))
-        assert sums == mask_cover_sums(pa, pc, *window)
+        assert sums == interval_cover_sums(pa, pc, *window)
 
     def test_ratio_on_a_bound_is_decided_again(self):
         # true_rr is put exactly on the computed bounds of 40 cells in turn;
@@ -301,12 +308,24 @@ class TestKernel:
                 args = (*window, n_e, n_ne, z, true_rr)
                 with mock.patch.object(_backend, "log_wald_bounds", wraps=log_wald_bounds) as spy:
                     mask = _kernel_mask(args)
-                spy.assert_called()
-                a_decided, _, c_decided = spy.call_args.args[:3]
-                assert (i + 1.0, j + 1.0) in zip(a_decided.tolist(), c_decided.tolist())
+                decided = {cell for call in spy.call_args_list
+                           for cell in zip(call.args[0].tolist(), call.args[2].tolist())}
+                assert (i + 1.0, j + 1.0) in decided
                 assert mask[i, j]
                 np.testing.assert_array_equal(mask, log_wald_mask(*args))
-                assert _backend.cover_sums(pa, pc, *args) == mask_cover_sums(pa, pc, *args)
+                assert _backend.cover_sums(pa, pc, *args) == interval_cover_sums(pa, pc, *args)
+
+    def test_batches_give_each_scenario_its_own_sums(self):
+        # scenarios of several windows, one of them over the chunk size
+        scenarios = []
+        for n_e, n_ne, p_e, p_ne, rr in [(40, 30, 0.3, 0.6, 0.5), (300, 9, 0.5, 0.4, 1.3),
+                                          (25, 200, 0.2, 0.7, 0.29), (60, 60, 0.5, 0.5, 1.0)]:
+            pa, pc = pmf_vector(n_e, p_e), pmf_vector(n_ne, p_ne)
+            scenarios.append((pa, pc, 1, n_e - 1, 2, n_ne - 2, n_e, n_ne, rr))
+        alone = [_backend.cover_sums(*sc[:8], 2.576, sc[8]) for sc in scenarios]
+        for rows in (1, 50, 4096):
+            with mock.patch.object(_backend, "_BATCH_ROWS", rows):
+                assert list(_backend.batch_cover_sums(scenarios, 2.576)) == alone
 
 
 def _bits(result):
@@ -330,6 +349,17 @@ class TestMargins:
         for rec in run_grid(grid):
             scenario = Scenario(rec.n_e, rec.n_ne, rec.pi_e, rec.pi_ne, rec.rho_e, rec.rho_ne, 0)
             assert _bits(rec.result) == _bits(exact_coverage(scenario, grid.prune_epsilon))
+
+    @pytest.mark.parametrize("stratum", [1, 0])
+    def test_records_do_not_depend_on_the_batches(self, stratum):
+        # flagged points, an empty window (n = 1) and windows of several sizes
+        grid = GridSpec((1, 30, 200), (45, 60), (0.2, 0.5), (0.3,), (0.1, 0.9), (0.5, 1.0), stratum=stratum)
+        runs = []
+        for rows in (10**9, 4096, 1):  # one batch; the default; a point, and a row, at a time
+            with mock.patch.object(_backend, "_BATCH_ROWS", rows):
+                runs.append([(r.error, r.result and _bits(r.result)) for r in run_grid(grid)])
+        assert runs[0] == runs[1] == runs[2]
+        assert any(error for error, _ in runs[0]) and any(bits for _, bits in runs[0])
 
     def test_margin_pmf_is_read_only(self):
         margin = coverage._margin(20, 0.3, 1e-12)
@@ -414,6 +444,7 @@ class TestGrids:
         pool, created = recording_pool
         monkeypatch.setattr(_run, "_process_pool", pool)
         monkeypatch.setattr(coverage, "_CELLS_PER_WORKER", 1)  # cells never cap here
+        monkeypatch.setattr(_backend, "_BATCH_ROWS", 1)  # a batch per point, so points cap too
         monkeypatch.setattr(_run, "usable_cpus", lambda: 4)
         grid = self.small_grid()
         serial = run_grid(grid)
@@ -434,12 +465,12 @@ class TestGrids:
 
 
 def _kernel_cells(grid):
-    """(run_grid's records, the cells its kernel calls enumerated, and the cells it logged)."""
+    """(run_grid's records, the cells its batch kernel calls enumerated, and the cells it logged)."""
     log = io.StringIO()
-    with mock.patch.object(_backend, "cover_sums", wraps=_backend.cover_sums) as spy:
+    with mock.patch.object(_backend, "batch_cover_sums", wraps=_backend.batch_cover_sums) as spy:
         records = run_grid(grid, log=log)
     cells = sum((a_hi - a_lo + 1) * (c_hi - c_lo + 1)
-                for _, _, a_lo, a_hi, c_lo, c_hi, *_ in (call.args for call in spy.call_args_list))
+                for call in spy.call_args_list for _, _, a_lo, a_hi, c_lo, c_hi, *_ in call.args[0])
     counted = int(re.fullmatch(r"coverage: (\d+) window cells in .*\n", log.getvalue()).group(1))
     return records, cells, counted
 
@@ -487,7 +518,12 @@ class TestGridWork:
         monkeypatch.setattr(_run, "_process_pool", pool)
         monkeypatch.setattr(_run, "usable_cpus", lambda: 4)
         # only the worker count matters here, not the points' results
-        monkeypatch.setattr(coverage, "_evaluate_point", lambda item: item)
+        monkeypatch.setattr(coverage, "_evaluate_batch", lambda batch: batch)
+        log = io.StringIO()
+        run_grid(paper_grid(), threads=4, log=log)  # under one quota: no pool
+        assert created == []
+        assert log.getvalue() == "coverage: 52722121 window cells in 2025 points, 1 worker\n"
+        monkeypatch.setattr(coverage, "_CELLS_PER_WORKER", 2 ** 24)
         log = io.StringIO()
         run_grid(paper_grid(), threads=4, log=log)
         run_grid(paper_grid(), threads=2)
@@ -505,13 +541,22 @@ class TestGridWork:
 
         monkeypatch.setattr(_run, "_process_pool", lambda max_workers: PicklingPool([], max_workers))
         monkeypatch.setattr(_run, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(coverage, "_evaluate_point", lambda item: item)
+        monkeypatch.setattr(coverage, "_CELLS_PER_WORKER", 1)
+        monkeypatch.setattr(coverage, "_evaluate_batch", lambda batch: batch)
         items = run_grid(paper_grid(), threads=2)
         assert [item[0] for item in items] == list(paper_grid().points())
         pmfs = {id(m.pmf): m.pmf.nbytes for *_, margins in items if margins for m in margins}
         assert len(sent) == 2
         # every distinct pmf at most once per task, plus a small record per point
         assert sum(map(len, sent)) < 2 * sum(pmfs.values()) + 200 * len(items)
+
+    def test_grid_runs_on_the_batch_kernel(self):
+        grid = TestGrids().small_grid()
+        with mock.patch.object(_backend, "batch_cover_sums", wraps=_backend.batch_cover_sums) as batch, \
+                mock.patch.object(_backend, "cover_sums", wraps=_backend.cover_sums) as single:
+            records = run_grid(grid)
+        assert batch.call_count == 1 and len(batch.call_args.args[0]) == len(records) == 8
+        assert single.call_count == 0
 
     def test_log_line(self):
         log = io.StringIO()
@@ -522,7 +567,7 @@ class TestGridWork:
         # --prune 0 at n = 10^5: 99999^2 ~ 10^10 cells; the kernel must not run
         grid = GridSpec((100000,), (100000,), (0.3,), (0.3,), (0.5,), (0.5,), prune_epsilon=0.0)
         spy = mock.Mock(side_effect=AssertionError("kernel ran"))
-        with mock.patch.object(_backend, "cover_sums", spy):
+        with mock.patch.object(_backend, "batch_cover_sums", spy):
             with pytest.raises(DomainError, match=r"9999800001 cells \(n_E = 100000, n_nonE = 100000\).*--prune"):
                 run_grid(grid)
         assert spy.call_count == 0
