@@ -109,7 +109,7 @@ def _row_sums(pieces, z):
         before is right or one too high.  Probes at the guess and one below
         settle the rows it is right for; bisection settles the others.
         """
-        for _ in range(3):
+        for _ in range(3 - upper):  # the upper test's guesses settle a step sooner
             h = np.sqrt(row_var + col_var[first_col + np.clip(j - (not upper), 0, width - 1)]) * z
             x = n_ne * np.exp(np.minimum(row + h if upper else row - h, 700.0))  # no overflow
             j = np.clip((np.floor(x) + 1.0 if upper else np.ceil(x)) - c_lo, 0, width).astype(np.int64)
@@ -125,9 +125,9 @@ def _row_sums(pieces, z):
     s = first(j0.copy(), np.minimum(e, j1), seed, False)
     cover = prefix[pfx + np.maximum(np.minimum(e, j1), s)] - prefix[pfx + s]
     # the edge columns of each row, in column order, added in that order
-    pairs = [(np.repeat(np.arange(r0, r0 + n), cols.size), np.tile(cols, n))
-             for r0, n, (lo, hi), w in zip(np.cumsum(counts) - counts, counts, bounds, widths)
-             if (cols := np.r_[0:lo, hi:w]).size]
+    pairs = [(np.repeat(np.arange(r0, r0 + n), lo + w - hi), np.tile(np.r_[0:lo, hi:w], n))
+             for r0, n, (lo, hi), w in zip((np.cumsum(counts) - counts).tolist(), counts.tolist(),
+                                           bounds.tolist(), widths.tolist()) if lo or hi < w]
     if pairs:
         r, j = (np.concatenate(part) for part in zip(*pairs))
         ok = (j < e[r]) & holds(r, j, False)
@@ -163,5 +163,4 @@ def batch_cover_sums(scenarios, z):
 
 def cover_sums(pa, pc, a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z, true_rr):
     """(cover, noncover) of one scenario: batch_cover_sums of a batch of one."""
-    [sums] = batch_cover_sums([(pa, pc, a_lo, a_hi, c_lo, c_hi, n_e, n_ne, true_rr)], z)
-    return sums
+    return next(batch_cover_sums([(pa, pc, a_lo, a_hi, c_lo, c_hi, n_e, n_ne, true_rr)], z))

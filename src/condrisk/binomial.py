@@ -54,11 +54,10 @@ def _two_prod(a, b):
 # k - 1 and the double log k, exact two-sums and per-k renormalisation
 # store hi = fl(X_k), lo = X_k - hi.  Here the running sums T are one
 # sequential cumsum and E, lo plus the cumsum of the residuals, is exact:
-# each residual is a multiple of 2^-53 (log k > 1/2) below ulp(T)/2, so in
-# a block E stays below 2^11 ulp(T) < 1 for T < 2^41 (any table that fits
-# in memory); a small block also keeps the temporaries small.  So
-# T + E = X_k, one renormalisation gives hi = fl(X_k), and hi - T
-# (Sterbenz) and lo = E - (hi - T) (X_k - hi below ulp(hi)/2) are exact.
+# each residual is a multiple of 2^-53 (log k > 1/2) below ulp(T)/2, so E
+# stays below 2^11 ulp(T) < 1 in a (small, for small temporaries) block for
+# any T < 2^41.  So T + E = X_k, one renormalisation gives hi = fl(X_k),
+# and hi - T (Sterbenz) and lo = E - (hi - T) (X_k - hi < ulp(hi)/2) are exact.
 _LOG_BLOCK = 1 << 11
 
 

@@ -289,13 +289,14 @@ def _evaluate_batch(items) -> list:
     sums = _backend.batch_cover_sums([w for w in windows if w is not None], z_quantile(items[0][2]))
     records = []
     for (point, stratum, level, true_rr, margins), window in zip(items, windows):
-        try:
-            if margins is None:  # a group is inadmissible: its Scenario raises why
+        if margins is None:  # a group is inadmissible: its Scenario raises why
+            try:
                 Scenario(*point, stratum, level)
-            result = _result(true_rr, margins, (0.0, 0.0) if window is None else next(sums))
-            records.append(GridRecord(*point, stratum, level, result))
-        except DomainError as exc:
-            records.append(GridRecord(*point, stratum, level, None, str(exc)))
+            except DomainError as exc:
+                records.append(GridRecord(*point, stratum, level, None, str(exc)))
+                continue
+        result = _result(true_rr, margins, next(sums) if window else (0.0, 0.0))
+        records.append(GridRecord(*point, stratum, level, result))
     return records
 
 
