@@ -91,9 +91,9 @@ class _LogFactorialTable:
             for k in range(size, grown, _LOG_BLOCK):
                 stop = min(k + _LOG_BLOCK, grown)
                 x = np.fromiter(map(math.log, range(k, stop)), np.float64, stop - k)
-                t = np.concatenate((out_hi[k - 1:k], x)).cumsum()
+                t = np.add.accumulate(np.concatenate((out_hi[k - 1:k], x)))  # cumsum, uncached
                 _, residual = _two_sum(t[:-1], x)  # t[1:] is its sum
-                e = np.concatenate((out_lo[k - 1:k], residual)).cumsum()[1:]
+                e = np.add.accumulate(np.concatenate((out_lo[k - 1:k], residual)))[1:]
                 out_hi[k:stop] = t[1:] + e  # renormalize
                 out_lo[k:stop] = e - (out_hi[k:stop] - t[1:])
             self._lo = lo
