@@ -18,6 +18,7 @@ at its peak, while the sort's row order is cast to int32, it holds about
 from itertools import chain
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 BLOCK_BYTES = 1 << 16  # bytes read at once
 CHUNK_ROWS = 1 << 16  # sorted ids compared at once
@@ -218,9 +219,10 @@ def _names(a, starts, ends) -> np.ndarray:
     lengths = ends - starts
     width = int(lengths.max(initial=1))
     _require(lengths.min(initial=1) > 0 and width <= NAME_BYTES)
-    offsets = np.arange(width)
-    cells = a[np.minimum(starts[:, None] + offsets, ends[:, None])]
-    cells[offsets >= lengths[:, None]] = 0
+    cells = sliding_window_view(np.concatenate((a, np.zeros(width, dtype=np.uint8))), width)[starts]
+    short = lengths < width
+    if short.any():  # zero the bytes after each shorter field
+        cells[short] *= np.arange(width) < lengths[short, None]
     return cells.view(f"S{width}").ravel()
 
 

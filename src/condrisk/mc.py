@@ -18,23 +18,23 @@ subject-by-subject draw of 2 (n_e + n_ne) uniforms, which the tests use
 as a cross-check.
 
 Reproducibility discipline (bit-exact, platform-independent): streams
-come from the counter-based Philox generator, one independent substream
-per replication with 128-bit key (seed << 64) | rep.  Within one
-replication the exposed group is drawn first: in fixed_margin mode a
-group is one draw, its later count; in cohort mode it is two, its ones
-and then its later count.  Counts are order-independent, so any parallel
-schedule yields identical estimates.  As NEP 19 allows, the streams hold
+come from the counter-based Philox generator.  Replication r is in block
+b = r // _BLOCK_REPS, and each block draws each variable v from its own
+Philox with 128-bit key (seed << 64) | (4 b + v): v = 0 and 1 are the
+exposed group's ones and later count, v = 2 and 3 the non-exposed
+group's (fixed_margin draws only v = 1 and 3).  NumPy's binomial takes
+its stream one element at a time, so a block's first k draws do not
+depend on how many follow: replication r's tables do not depend on
+--reps, and mc_coverage splits work only at block boundaries, so any
+--threads yields identical counts.  As NEP 19 allows, the streams hold
 for one NumPy version.
 
-Layout: one Philox and one Generator serve a whole range of
-replications.  Before each replication the public state setter puts the
-generator back where a fresh Philox(key=(seed << 64) | rep) starts: key
-[rep, seed], counter 0, an empty buffer.  Replications go in blocks of at
-most _BLOCK_REPS.  Coverage is decided for a whole block with
-measures.log_wald_bounds, and a bound within a relative _NEAR of the true
-ratio is decided again by the scalar interval, so the counts equal those
-of a loop over single replications.  Memory is O(block) whatever the
-number of replications and the group sizes.
+Layout: a block is one binomial call per variable, and its coverage is
+decided at once with measures.log_wald_bounds; a bound within a
+relative _NEAR of the true ratio is decided again by the scalar
+interval, so the counts equal those of a loop over single replications.
+Memory is O(block) whatever the number of replications and the group
+sizes.
 """
 
 import math
@@ -58,8 +58,9 @@ ORACLE_CSV_HEADER = (
     "margin_model,reps,seed,estimate,std_error,estimate_normalized"
 )
 
-# Replications whose tables are decided together: _decide's arrays are
-# O(block) whatever the number of replications.
+# Replications per block.  It defines the streams (module docstring), so
+# changing it changes the oracle's bytes; _decide's arrays are O(block)
+# whatever the number of replications.
 _BLOCK_REPS = 1 << 14
 # Widest replication simulate_cohort draws, 2 (n_e + n_ne) uniforms:
 # 2^26 doubles are 512 MiB.
@@ -107,33 +108,6 @@ def equal_marginal_spec(
     )
 
 
-class _Substreams:
-    """One Philox and one Generator that can start any replication's substream.
-
-    seek(rep) puts the generator in the state a fresh
-    Philox(key=(seed << 64) | rep) starts in: key [rep, seed], counter 0
-    and an empty buffer, so every draw from there equals the fresh
-    generator's.
-    """
-
-    def __init__(self, seed: int):
-        self.bit_generator = np.random.Philox(key=seed << 64)
-        self.generator = np.random.Generator(self.bit_generator)
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": [0, seed]},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-    def seek(self, rep: int) -> np.random.Generator:
-        self._state["state"]["key"][0] = rep
-        self.bit_generator.state = self._state
-        return self.generator
-
-
 def simulate_cohort(spec: CohortSpec, rep: int = 0) -> StratifiedTables:
     """Draw one replication of the two cohorts subject by subject and stratify by the earlier outcome.
 
@@ -148,7 +122,7 @@ def simulate_cohort(spec: CohortSpec, rep: int = 0) -> StratifiedTables:
             f"a cohort replication draws {width} uniforms, over the cap of {_MAX_COHORT_DOUBLES}; "
             "mc_coverage's cohort model draws four binomials instead"
         )
-    generator = _Substreams(spec.seed).seek(rep)
+    generator = np.random.Generator(np.random.Philox(key=(spec.seed << 64) | rep))
     cells = []
     for n, params in ((spec.n_e, spec.params_e), (spec.n_ne, spec.params_ne)):
         earlier = generator.random(n) < params.pi_k
@@ -161,25 +135,32 @@ def simulate_cohort(spec: CohortSpec, rep: int = 0) -> StratifiedTables:
                             StratumTable(a=e01, b=e00, c=u01, d=u00))
 
 
-def _draw_tables(streams: _Substreams, groups, stratum: int, rep_lo: int, rep_hi: int) -> np.ndarray:
-    """Rows (a, n_e, c, n_ne), a column per replication of [rep_lo, rep_hi).
+def _draw_tables(seed: int, groups, stratum: int, rep_lo: int, rep_hi: int) -> list:
+    """Rows (a, n_e, c, n_ne) of replications [rep_lo, rep_hi), which lie in one block.
 
     groups holds (n, pi_k, p_later) of the exposed, then the non-exposed
     group.  With pi_k None the stratum size m is n (fixed_margin);
     otherwise ones ~ Bin(n, pi_k) is drawn first and m is ones in
     stratum 1, n - ones in stratum 0 (cohort).  The later count is
-    Bin(m, p_later).
+    Bin(m, p_later).  Each variable is drawn from the block's start, so a
+    range that starts mid-block drops the leading draws.
     """
-    drawn = []
-    for rep in range(rep_lo, rep_hi):
-        binomial = streams.seek(rep).binomial
-        for n, pi_k, p_later in groups:
-            m = n
-            if pi_k is not None:
-                ones = binomial(n, pi_k)
-                m = ones if stratum == 1 else n - ones
-            drawn += (binomial(m, p_later), m)
-    return np.array(drawn, dtype=np.int64).reshape(-1, 4).T
+    block, skip = divmod(rep_lo, _BLOCK_REPS)
+    size = rep_hi - block * _BLOCK_REPS
+
+    def draw(variable, n, p):
+        key = (seed << 64) | (4 * block + variable)
+        return np.random.Generator(np.random.Philox(key=key)).binomial(n, p, size=size)
+
+    rows = []
+    for v, (n, pi_k, p_later) in zip((0, 2), groups):
+        if pi_k is None:
+            rows += (draw(v + 1, n, p_later)[skip:], n)
+            continue
+        ones = draw(v, n, pi_k)
+        m = ones if stratum == 1 else n - ones
+        rows += (draw(v + 1, m, p_later)[skip:], m[skip:])
+    return rows
 
 
 def _covers(a: int, n_e: int, c: int, n_ne: int, level: float, true_rr: float) -> bool:
@@ -207,21 +188,17 @@ def _decide(a, n_e, c, n_ne, level: float, true_rr: float) -> tuple[int, int]:
 
 def _count_reps(spec: CohortSpec, stratum: int, level: float, margin_model: str,
                 rep_lo: int, rep_hi: int) -> tuple[int, int]:
-    """(covered, nondegenerate) counts over replications [rep_lo, rep_hi).
-
-    Replications go in blocks of at most _BLOCK_REPS; the counts do not
-    depend on the block size.
-    """
+    """(covered, nondegenerate) counts over replications [rep_lo, rep_hi), a block at a time."""
     p_e, p_ne, true_rr = stratum_risks(spec.params_e, spec.params_ne, stratum)
     cohort = margin_model == "cohort"
     groups = [(spec.n_e, spec.params_e.pi_k if cohort else None, p_e),
               (spec.n_ne, spec.params_ne.pi_k if cohort else None, p_ne)]
-    streams = _Substreams(spec.seed)
+    first = (rep_lo // _BLOCK_REPS + 1) * _BLOCK_REPS
+    edges = [rep_lo, *range(first, rep_hi, _BLOCK_REPS), rep_hi]
     covered = 0
     nondegenerate = 0
-    for lo in range(rep_lo, rep_hi, _BLOCK_REPS):
-        tables = _draw_tables(streams, groups, stratum, lo, min(lo + _BLOCK_REPS, rep_hi))
-        cov, nd = _decide(*tables, level, true_rr)
+    for lo, hi in zip(edges, edges[1:]):
+        cov, nd = _decide(*_draw_tables(spec.seed, groups, stratum, lo, hi), level, true_rr)
         covered += cov
         nondegenerate += nd
     return covered, nondegenerate
@@ -270,8 +247,9 @@ def mc_coverage(
     z_quantile(level)  # checks the level
     _, _, true_rr = stratum_risks(spec.params_e, spec.params_ne, stratum)
     reps = spec.reps
-    workers = worker_count(threads, reps)
-    bounds = [reps * i // workers for i in range(workers + 1)]
+    blocks = -(-reps // _BLOCK_REPS)
+    workers = worker_count(threads, blocks)
+    bounds = [min(reps, blocks * i // workers * _BLOCK_REPS) for i in range(workers + 1)]
     jobs = [(spec, stratum, level, margin_model, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if log is not None:
         draws = reps * (4 if margin_model == "cohort" else 2)

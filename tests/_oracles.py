@@ -366,11 +366,11 @@ def loop_visit_risks(exposed, outcomes, n_visits):
     return rows
 
 
-# Replication-by-replication Monte-Carlo oracle: a fresh Philox per
-# replication, a scalar interval per replication.
+# Replication-by-replication Monte-Carlo oracle: scalar draws from each
+# block's fresh Philox streams, a scalar interval per replication.
 
 def loop_rep_rng(seed, rep):
-    """The substream of one replication: Philox keyed (seed << 64) | rep."""
+    """simulate_cohort's stream of one replication: Philox keyed (seed << 64) | rep."""
     return np.random.Generator(np.random.Philox(key=(seed << 64) | rep))
 
 
@@ -440,29 +440,36 @@ def exact_cohort_coverage(spec, stratum, level):
     return math.fsum(covered)
 
 
-def loop_count_reps(spec, stratum, level, margin_model, rep_lo, rep_hi):
+def loop_count_reps(spec, stratum, level, margin_model, rep_lo, rep_hi, block_reps):
     """(covered, nondegenerate) over replications [rep_lo, rep_hi), one at a time.
 
-    Each replication draws from a fresh Philox, exposed group first.  A
-    fixed_margin group is one draw, its later count Bin(n, p); a cohort
-    group is two, ones ~ Bin(n, pi_k) and then the later count Bin(m, p)
-    of its stratum's m = ones (stratum 1) or n - ones (stratum 0) subjects.
+    Replication r is in block b = r // block_reps, whose variable v is
+    drawn from a fresh Philox keyed (seed << 64) | (4 b + v), one scalar
+    draw per replication from the block's first replication on: v = 0 and
+    1 are the exposed group's ones and later count, 2 and 3 the
+    non-exposed group's.  A fixed_margin group draws its later count
+    Bin(n, p) alone; a cohort group first draws ones ~ Bin(n, pi_k), and
+    its later count is Bin(m, p) with m = ones (stratum 1) or n - ones
+    (stratum 0).
     """
     groups = [(spec.n_e, spec.params_e), (spec.n_ne, spec.params_ne)]
     _, _, true_rr = stratum_risks(spec.params_e, spec.params_ne, stratum)
     covered = 0
     nondegenerate = 0
-    for rep in range(rep_lo, rep_hi):
-        rng = loop_rep_rng(spec.seed, rep)
+    for rep in range(rep_lo - rep_lo % block_reps, rep_hi):
+        block, first = divmod(rep, block_reps)
+        if first == 0:
+            rngs = [np.random.Generator(np.random.Philox(key=(spec.seed << 64) | (4 * block + v)))
+                    for v in range(4)]
         table = []
-        for n, params in groups:
+        for (n, params), (ones_rng, later_rng) in zip(groups, (rngs[:2], rngs[2:])):
             m = n
             if margin_model == "cohort":
-                ones = int(rng.binomial(n, params.pi_k))
+                ones = int(ones_rng.binomial(n, params.pi_k))
                 m = ones if stratum == 1 else n - ones
-            table += [int(rng.binomial(m, stratum_risk(params, stratum))), m]
+            table += [int(later_rng.binomial(m, stratum_risk(params, stratum))), m]
         a, n_e, c, n_ne = table
-        if 1 <= a <= n_e - 1 and 1 <= c <= n_ne - 1:
+        if rep >= rep_lo and 1 <= a <= n_e - 1 and 1 <= c <= n_ne - 1:
             nondegenerate += 1
             est = stratum_rr_estimate(a, n_e, c, n_ne, level)
             if est.ci_lower <= true_rr <= est.ci_upper:

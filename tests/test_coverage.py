@@ -495,7 +495,7 @@ class TestGridWork:
     def test_count_equals_kernel_cells_on_paper_slice(self, stratum):
         _, kernel, counted = _kernel_cells(dataclasses.replace(PAPER_SLICE, stratum=stratum))
         assert counted == kernel
-        assert counted == {1: 4_937_480, 0: 3_695_849}[stratum]  # under 2^24: no pool
+        assert counted == {1: 4_937_480, 0: 3_695_849}[stratum]  # under 2^27: no pool
 
     def test_no_admissible_group_counts_nothing_and_builds_nothing(self, monkeypatch):
         built = []

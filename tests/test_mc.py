@@ -1,5 +1,6 @@
 """Monte-Carlo oracle: reproducibility, distributional sanity, CSV output."""
 
+import dataclasses
 import io
 import itertools
 import math
@@ -26,7 +27,7 @@ from condrisk.mc import (
 from condrisk.measures import log_wald_bounds, phi_correlations, stratum_rr_estimate, z_quantile
 from condrisk.model import BernoulliPairParams, rho_bounds, stratum_risk, stratum_risks
 
-from _oracles import exact_cohort_coverage, loop_count_reps, loop_rep_rng, loop_simulate_cohort
+from _oracles import exact_cohort_coverage, loop_count_reps, loop_simulate_cohort
 
 
 def spec(n_e=100, n_ne=100, pi_e=0.5, pi_ne=0.5, rho_e=0.1, rho_ne=0.1, seed=7, reps=200):
@@ -113,10 +114,12 @@ class TestSimulateCohort:
     def test_replication_over_the_cap_is_refused_before_any_draw(self, monkeypatch):
         # n = 10^8 per group: 3.2 GB of uniforms, never allocated here
         spy = mock.Mock(side_effect=AssertionError("uniforms drawn"))
-        monkeypatch.setattr(mc, "_Substreams", spy)
+        monkeypatch.setattr(np.random, "Philox", spy)
         with pytest.raises(DomainError, match=r"400000000 uniforms, over the cap of 67108864"):
             simulate_cohort(spec(n_e=10**8, n_ne=10**8))
         assert spy.call_count == 0
+        with pytest.raises(AssertionError, match="uniforms drawn"):  # the spy is the generator
+            simulate_cohort(spec())
 
     def test_cap_passes_at_exactly_the_cap(self, monkeypatch):
         s = spec(n_e=30, n_ne=20)
@@ -164,7 +167,7 @@ class TestCohortLaw:
         reps = 2000
         p_e, p_ne, _ = stratum_risks(s.params_e, s.params_ne, stratum)
         groups = [(s.n_e, s.params_e.pi_k, p_e), (s.n_ne, s.params_ne.pi_k, p_ne)]
-        binomial = mc._draw_tables(mc._Substreams(s.seed), groups, stratum, 0, reps)
+        binomial = mc._draw_tables(s.seed, groups, stratum, 0, reps)
         subjects = []
         for rep in range(reps):  # another seed, so the two samples are independent
             tables = simulate_cohort(other, rep)
@@ -184,7 +187,8 @@ class TestMCCoverage:
         assert a == b
 
     @pytest.mark.parametrize("margin_model", MARGIN_MODELS)
-    def test_thread_count_is_invisible(self, margin_model):
+    def test_thread_count_is_invisible(self, monkeypatch, margin_model):
+        monkeypatch.setattr(mc, "_BLOCK_REPS", 64)  # 5 blocks
         s = spec(n_e=60, n_ne=60, reps=300)
         serial = mc_coverage(s, margin_model=margin_model, threads=1)
         parallel = mc_coverage(s, margin_model=margin_model, threads=3)
@@ -296,20 +300,7 @@ REPS = (0, 1, 4095, 2**40)
 
 
 class TestSubstreams:
-    """A reset Philox draws what a fresh Philox(key=(seed << 64) | rep) draws."""
-
-    def test_random_and_binomial_match_fresh_generator(self):
-        for seed in SEEDS:
-            streams = mc._Substreams(seed)
-            for rep in REPS:
-                fresh = loop_rep_rng(seed, rep)
-                reset = streams.seek(rep)
-                assert np.array_equal(reset.random(11), fresh.random(11))
-                assert reset.binomial(500, 0.3) == fresh.binomial(500, 0.3)
-                assert reset.binomial(40, 0.05) == fresh.binomial(40, 0.05)
-                assert np.array_equal(reset.random(5), fresh.random(5))
-                # leave a half-used buffer and a cached 32-bit word behind
-                reset.integers(0, 7, size=3, dtype=np.int32)
+    """simulate_cohort draws from a fresh Philox(key=(seed << 64) | rep)."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_simulate_cohort_is_the_loop_draw(self, seed):
@@ -348,16 +339,27 @@ class TestBatchedCountsAgainstLoop:
         s, stratum, level, margin_model, rep_lo, rep_hi, block = case
         with mock.patch.object(mc, "_BLOCK_REPS", block):
             batched = mc._count_reps(s, stratum, level, margin_model, rep_lo, rep_hi)
-        assert batched == loop_count_reps(s, stratum, level, margin_model, rep_lo, rep_hi)
+        assert batched == loop_count_reps(s, stratum, level, margin_model, rep_lo, rep_hi, block)
 
     @pytest.mark.parametrize("margin_model", MARGIN_MODELS)
     @pytest.mark.parametrize("stratum", [0, 1])
     def test_many_blocks(self, monkeypatch, margin_model, stratum):
         s = spec(n_e=150, n_ne=90, pi_e=0.3, pi_ne=0.2, rho_e=0.5, rho_ne=0.3, seed=5)
-        expected = loop_count_reps(s, stratum, 0.95, margin_model, 10, 410)
         for block in (1, 7, 64, mc._BLOCK_REPS):
+            expected = loop_count_reps(s, stratum, 0.95, margin_model, 10, 410, block)
             monkeypatch.setattr(mc, "_BLOCK_REPS", block)
             assert mc._count_reps(s, stratum, 0.95, margin_model, 10, 410) == expected
+
+    @pytest.mark.parametrize("margin_model", MARGIN_MODELS)
+    def test_first_replications_do_not_depend_on_reps(self, monkeypatch, margin_model):
+        monkeypatch.setattr(mc, "_BLOCK_REPS", 4)
+        s = spec(n_e=12, n_ne=10, pi_e=0.4, pi_ne=0.3, rho_e=0.2, rho_ne=0.1, seed=9)
+        # each replication alone, drawn from its block's start
+        single = [mc._count_reps(s, 1, 0.8, margin_model, r, r + 1) for r in range(23)]
+        for k in range(1, 24):
+            run = mc_coverage(dataclasses.replace(s, reps=k), level=0.8, margin_model=margin_model)
+            assert (run.covered, run.nondegenerate) == tuple(map(sum, zip(*single[:k])))
+        assert 0 < run.covered < run.nondegenerate
 
     @pytest.mark.parametrize("level", [0.8, 0.95, 0.99])
     def test_bounds_at_true_ratio_are_decided_by_the_scalar_interval(self, level):
@@ -381,6 +383,7 @@ class TestWorkerCap:
         pool, created = recording_pool
         monkeypatch.setattr(_run, "_process_pool", pool)
         monkeypatch.setattr(_run, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(mc, "_BLOCK_REPS", 1)  # a job per replication
         s = spec(n_e=20, n_ne=20, reps=30)
         serial = mc_coverage(s, threads=1)
         assert mc_coverage(s, threads=100000) == serial
