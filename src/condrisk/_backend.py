@@ -14,9 +14,9 @@ interior are decided one at a time (proofs at _BAND).  A row's cover is
 P[e] - P[s], P the prefix sums of the non-exposed pmf window, plus the pmf
 of each covered edge column in column order; its noncover is P[W] minus
 that.  Each scenario's rows, times the exposed pmf, take one math.fsum.
-Rows run in chunks of under 2 _BATCH_ROWS, so memory is O(_BATCH_ROWS +
-window); all row arithmetic is elementwise, so the sums never depend on
-the chunks or on a thread layout.
+Pieces of at most _BATCH_ROWS rows, each with its scenario's columns, run in chunks of
+under _BATCH_WORK units of work() plus one piece, so memory is O(_BATCH_WORK + window); all
+row arithmetic is elementwise, so the sums never depend on the chunks or a thread layout.
 """
 
 import itertools
@@ -26,10 +26,12 @@ import numpy as np
 
 from .measures import log_wald_bounds
 
-__all__ = ["batch_cover_sums", "cover_sums", "packed"]
+__all__ = ["batch_cover_sums", "cover_sums", "packed", "work"]
 
-# Rows per kernel chunk, and per batch of run_grid's points.
+# Rows per piece of a scenario's window.
 _BATCH_ROWS = 4096
+# Work units per kernel chunk and per batch of run_grid's points (7 for the paper slice).
+_BATCH_WORK = 2 ** 13
 
 # Why a test with |m| > _BAND, m = d -+ h, is decided as log_wald_bounds
 # decides it.  Let u = 2**-53, r_e = a/n_e, r_ne = c/n_ne,
@@ -136,8 +138,14 @@ def _row_sums(pieces, z):
     return (weight * cover).tolist(), (weight * noncover).tolist()
 
 
+def work(rows, cols, windows=1):
+    """The rows and columns the kernel touches for rows window rows in windows scenarios of cols
+    columns in all: each piece of rows carries them all, so W_a + ceil(W_a/_BATCH_ROWS) W_c for one."""
+    return windows * rows + -(-rows // _BATCH_ROWS) * cols
+
+
 def packed(items, sizes, cap):
-    """Consecutive items in lists, by the multiple of cap their first row is past (so under 2 cap rows)."""
+    """Consecutive items in lists, by the multiple of cap their first unit is past (so under cap plus one item)."""
     groups = itertools.groupby(zip(itertools.accumulate(sizes, initial=0), items), lambda p: p[0] // cap)
     return [[item for _, item in group] for _, group in groups]
 
@@ -151,7 +159,7 @@ def batch_cover_sums(scenarios, z):
     rows = _BATCH_ROWS
     pieces = [(sc, lo, min(lo + rows - 1, sc[3])) for sc in scenarios for lo in range(sc[2], sc[3] + 1, rows)]
     covers, noncovers = [], []
-    for chunk in packed(pieces, [hi + 1 - lo for _, lo, hi in pieces], rows):
+    for chunk in packed(pieces, [work(hi + 1 - lo, sc[5] + 1 - sc[4]) for sc, lo, hi in pieces], _BATCH_WORK):
         cover, noncover = map(iter, _row_sums(chunk, z))
         for sc, lo, hi in chunk:
             covers += itertools.islice(cover, hi + 1 - lo)

@@ -47,12 +47,10 @@ def usable_cpus():
     return os.cpu_count()
 
 
-def worker_count(threads: int, jobs: int) -> int:
-    """Worker processes for jobs independent jobs: min(threads, jobs, usable CPUs), at least 1.
-
-    The CPUs are counted only when threads and jobs both allow a pool.
-    """
-    workers = min(threads, jobs)
+def worker_count(threads: int, jobs: int, work: int, quota: int) -> int:
+    """Worker processes for jobs independent jobs of work units in all: min(threads, jobs,
+    1 + work // quota, usable CPUs), at least 1.  The CPUs are counted only when the rest allow a pool."""
+    workers = min(threads, jobs, 1 + work // quota)
     return min(workers, usable_cpus() or 1) if workers > 1 else 1
 
 

@@ -106,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prune", type=float, default=None,
                    help="tail-pruning epsilon (overrides grid file; default 1e-12)")
     p.add_argument("--threads", type=_positive_int, default=1, metavar="N",
-                   help="worker processes: at most N, 1 + (window cells)/2^27, the CPUs "
-                        "and the batches of points (output independent of this)")
+                   help="worker processes: at most N, 1 + (kernel rows and columns)/1.6e6, "
+                        "the CPUs and the batches of points (output independent of this)")
     p.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
     p.set_defaults(func=_cmd_coverage)
 
@@ -136,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--margin-model", choices=MARGIN_MODELS, default="fixed_margin")
     p.add_argument("--threads", type=_positive_int, default=1, metavar="N",
-                   help="at most N worker processes, never more than the CPUs or the "
-                        "blocks of 2^14 replications (output independent of this)")
+                   help="worker processes: at most N, 1 + (binomial draws)/2^21, the CPUs "
+                        "and the blocks of 2^14 replications (output independent of this)")
     p.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
     p.set_defaults(func=_cmd_oracle)
 

@@ -300,18 +300,12 @@ def _evaluate_batch(items) -> list:
     return records
 
 
-# Window cells per worker a grid needs before run_grid starts a pool (or
-# adds a worker to it).  On a 2-vCPU VM with Python 3.11 the kernel ran the
-# full paper grid (5.3 x 10^7 cells) in about 0.3 s, and a second worker
-# made that command about 0.1 s slower (0.73 s against 0.63 s), so 2^27
-# cells (about 0.75 s in one process) is roughly where it starts to pay.
-_CELLS_PER_WORKER = 2 ** 27
-
-# Largest single window (W_a x W_c cells) run_grid accepts, over 40,000
-# times the paper grid's largest window (322 x 322): --prune 0 at n = 10^5
-# (10^10 cells) is refused; n = 5000 with --prune 0 (2.5 x 10^7) runs.  The
-# kernel's work grows with W_a log W_c, so a cap on rows would be tighter.
-_MAX_WINDOW_CELLS = 2 ** 32
+# Kernel work (_backend.work) per worker of run_grid: on a 2-core VM (Python 3.11, fresh
+# processes) a second worker lost at 1.3 x 10^6 units, tied at 1.6 x 10^6 and won at
+# 1.9 x 10^6 (paper-shaped grids, BENCH_25.json).  The kernel ran 0.05-1 us per unit
+# there, 0.28 us on the paper grid, so the cap on a grid's work is about ten minutes.
+_WORK_PER_WORKER = 1_600_000
+_MAX_WORK = 2 ** 31
 
 
 def _group_keys(n_axis, pi_axis, rho_axis, stratum: int, group: str) -> list:
@@ -336,14 +330,14 @@ def run_grid(grid: GridSpec, threads: int = 1, log=None) -> list:
     Before any point runs, the grid's distinct (n, p) margins are built
     once into one table both groups share (none when a group has no
     admissible margin, as no point would use it); pmfs over
-    _MAX_MARGIN_DOUBLES raise DomainError before any is built.  A point's
-    window is W_a x W_c, so the grid's window cells are the exposed sum of
-    W times the non-exposed sum; a window over _MAX_WINDOW_CELLS raises
-    DomainError.  The points run in batches of whole points with at most
-    _backend._BATCH_ROWS kernel rows (exposed windows) together, one
-    kernel call each, on at most 1 + cells // _CELLS_PER_WORKER workers,
+    _MAX_MARGIN_DOUBLES raise DomainError before any is built.  The sum of
+    each point's _backend.work comes from the two groups' window sums
+    before any point is enumerated; over _MAX_WORK, it raises DomainError.
+    The points run in batches of whole points with under
+    _backend._BATCH_WORK units plus one point, one kernel call each, on at
+    most 1 + work // _WORK_PER_WORKER workers,
     never more than threads, the CPUs or the batches.  log, a text handle,
-    gets one line with the cells, points and workers.  The output is
+    gets one line with the work, points and workers.  The output is
     bitwise identical for any thread count or batching.
     """
     groups = [
@@ -358,32 +352,29 @@ def run_grid(grid: GridSpec, threads: int = 1, log=None) -> list:
             f"largest n: {max(n for n, _ in keys)}), over the cap of {_MAX_MARGIN_DOUBLES}"
         )
     table = {(n, p): _margin(n, p, grid.prune_epsilon) for n, p in keys}
-    cells = 0
-    if table:
-        widths = [[(max(0, table[key].hi - table[key].lo + 1), key[0]) for _, key in group]
-                  for group in groups]
-        (w_a, n_a), (w_c, n_c) = max(widths[0]), max(widths[1])
-        if w_a * w_c > _MAX_WINDOW_CELLS:
-            raise DomainError(
-                f"the grid's largest window has {w_a * w_c} cells (n_E = {n_a}, "
-                f"n_nonE = {n_c}), over the cap of {_MAX_WINDOW_CELLS}; "
-                f"a larger --prune (now {grid.prune_epsilon!r}) narrows the windows"
-            )
-        cells = sum(w for w, _ in widths[0]) * sum(w for w, _ in widths[1])
+    width = {key: max(0, margin.hi - margin.lo + 1) for key, margin in table.items()}
+    cols = [width[key] for _, key in groups[1] if width.get(key)]
+    total_cols, windows = sum(cols), len(cols)
+    work = sum(_backend.work(width[key], total_cols, windows) for _, key in groups[0] if key in width)
+    if work > _MAX_WORK:
+        raise DomainError(
+            f"the grid's kernel work is {work} window rows and columns, over the cap of {_MAX_WORK}; "
+            f"a larger --prune (now {grid.prune_epsilon!r}) narrows the windows"
+        )
     exposed, non_exposed = (dict(group) for group in groups)
-    items, rows = [], []
+    items, sizes = [], []
     for point in grid.points():
         n_e, n_ne, pi_e, pi_ne, rho_e, rho_ne = point
         key_e, key_ne = exposed.get((n_e, pi_e, rho_e)), non_exposed.get((n_ne, pi_ne, rho_ne))
         margins = None if key_e is None or key_ne is None else (table[key_e], table[key_ne])
         true_rr = None if margins is None else key_e[1] / key_ne[1]
         items.append((point, grid.stratum, grid.level, true_rr, margins))
-        rows.append(0 if margins is None else max(0, margins[0].hi - margins[0].lo + 1))
-    batches = list(_backend.packed(items, rows, _backend._BATCH_ROWS))
-    workers = worker_count(min(threads, 1 + cells // _CELLS_PER_WORKER), len(batches))
+        sizes.append(0 if margins is None else _backend.work(width[key_e], width[key_ne]))
+    batches = _backend.packed(items, sizes, _backend._BATCH_WORK)
+    workers = worker_count(threads, len(batches), work, _WORK_PER_WORKER)
     if log is not None:
         plural = "" if workers == 1 else "s"
-        log.write(f"coverage: {cells} window cells in {len(items)} points, {workers} worker{plural}\n")
+        log.write(f"coverage: {work} kernel rows and columns in {len(items)} points, {workers} worker{plural}\n")
     return [record for batch in map_jobs(_evaluate_batch, batches, workers) for record in batch]
 
 

@@ -62,6 +62,9 @@ ORACLE_CSV_HEADER = (
 # changing it changes the oracle's bytes; _decide's arrays are O(block)
 # whatever the number of replications.
 _BLOCK_REPS = 1 << 14
+# Binomial draws per worker: on a 2-core VM a second worker paid off from about 2^21
+# draws (BENCH_23.json: 0.4-0.6 M cohort, 1-2 M fixed_margin replications).
+_DRAWS_PER_WORKER = 2 ** 21
 # Widest replication simulate_cohort draws, 2 (n_e + n_ne) uniforms:
 # 2^26 doubles are 512 MiB.
 _MAX_COHORT_DOUBLES = 2 ** 26
@@ -248,11 +251,11 @@ def mc_coverage(
     _, _, true_rr = stratum_risks(spec.params_e, spec.params_ne, stratum)
     reps = spec.reps
     blocks = -(-reps // _BLOCK_REPS)
-    workers = worker_count(threads, blocks)
+    draws = reps * (4 if margin_model == "cohort" else 2)
+    workers = worker_count(threads, blocks, draws, _DRAWS_PER_WORKER)
     bounds = [min(reps, blocks * i // workers * _BLOCK_REPS) for i in range(workers + 1)]
     jobs = [(spec, stratum, level, margin_model, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if log is not None:
-        draws = reps * (4 if margin_model == "cohort" else 2)
         plural = "" if workers == 1 else "s"
         log.write(f"oracle: {reps} replications, {draws} binomial draws, {workers} worker{plural}\n")
     counts = map_jobs(_count_reps_args, jobs, workers)

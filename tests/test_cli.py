@@ -13,7 +13,7 @@ from unittest import mock
 
 import pytest
 
-from condrisk import __version__, _backend, mc
+from condrisk import __version__, _backend, coverage, mc
 from condrisk.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from condrisk.compare import COMPARE_CSV_HEADER
 from condrisk.coverage import COVERAGE_CSV_HEADER
@@ -356,21 +356,19 @@ class TestCoverage:
         out = out_name if out_name == "-" else str(tmp_path / out_name)
         assert main(["coverage", "--grid", str(grid_file), "--threads", "2", "--out", out]) == EXIT_OK
         captured = capsys.readouterr()
-        assert re.fullmatch(r"coverage: [1-9]\d* window cells in 4 points, 1 worker\n", captured.err)
+        assert re.fullmatch(r"coverage: [1-9]\d* kernel rows and columns in 4 points, 1 worker\n", captured.err)
         written = captured.out if out == "-" else Path(out).read_text()
-        assert "window cells" not in captured.out + written
+        assert "kernel rows" not in captured.out + written
 
-    def test_window_over_the_cap_is_domain_error(self, tmp_path, capsys):
-        path = tmp_path / "huge.txt"
-        path.write_text("n_E = 100000\nn_nonE = 100000\npi_E = 0.3\npi_nonE = 0.3\n"
-                        "rho_E = 0.5\nrho_nonE = 0.5\n")
+    def test_work_over_the_cap_is_domain_error(self, grid_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(coverage, "_MAX_WORK", 100)
         spy = mock.Mock(side_effect=AssertionError("kernel ran"))
         with mock.patch.object(_backend, "batch_cover_sums", spy):
-            code = main(["coverage", "--grid", str(path), "--prune", "0",
-                         "--out", str(tmp_path / "c.csv")])
+            code = main(["coverage", "--grid", str(grid_file), "--out", str(tmp_path / "c.csv")])
         assert code == EXIT_NUMERIC and spy.call_count == 0
         err = capsys.readouterr().err
-        assert "domain error" in err and "9999800001 cells" in err and "--prune" in err
+        assert re.fullmatch(r"condrisk: domain error: the grid's kernel work is \d+ window rows and columns, "
+                            r"over the cap of 100; a larger --prune \(now 1e-12\) narrows the windows\n", err)
         assert not (tmp_path / "c.csv").exists()
 
 
@@ -423,6 +421,7 @@ class TestOracle:
     @pytest.mark.parametrize("margin_model", ["fixed_margin", "cohort"])
     def test_rerun_and_threads_byte_identical(self, tmp_path, monkeypatch, margin_model):
         monkeypatch.setattr(mc, "_BLOCK_REPS", 16)  # 13 blocks of 200 replications
+        monkeypatch.setattr(mc, "_DRAWS_PER_WORKER", 1)  # so --threads 2 and 3 start pools
         args = self.BASE + ["--margin-model", margin_model]
         outs = [tmp_path / f"o{i}.csv" for i in range(4)]
         for out, threads in zip(outs, ("1", "1", "2", "3")):

@@ -6,6 +6,7 @@ import math
 import pickle
 import re
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from unittest import mock
@@ -355,8 +356,9 @@ class TestMargins:
         # flagged points, an empty window (n = 1) and windows of several sizes
         grid = GridSpec((1, 30, 200), (45, 60), (0.2, 0.5), (0.3,), (0.1, 0.9), (0.5, 1.0), stratum=stratum)
         runs = []
-        for rows in (10**9, 4096, 1):  # one batch; the default; a point, and a row, at a time
-            with mock.patch.object(_backend, "_BATCH_ROWS", rows):
+        # one batch; the default; a point, and a row, at a time
+        for rows, budget in ((10**9, 10**9), (_backend._BATCH_ROWS, _backend._BATCH_WORK), (1, 1)):
+            with mock.patch.multiple(_backend, _BATCH_ROWS=rows, _BATCH_WORK=budget):
                 runs.append([(r.error, r.result and _bits(r.result)) for r in run_grid(grid)])
         assert runs[0] == runs[1] == runs[2]
         assert any(error for error, _ in runs[0]) and any(bits for _, bits in runs[0])
@@ -443,8 +445,8 @@ class TestGrids:
     def test_workers_capped_by_points_and_cpus(self, monkeypatch, recording_pool):
         pool, created = recording_pool
         monkeypatch.setattr(_run, "_process_pool", pool)
-        monkeypatch.setattr(coverage, "_CELLS_PER_WORKER", 1)  # cells never cap here
-        monkeypatch.setattr(_backend, "_BATCH_ROWS", 1)  # a batch per point, so points cap too
+        monkeypatch.setattr(coverage, "_WORK_PER_WORKER", 1)  # work never caps here
+        monkeypatch.setattr(_backend, "_BATCH_WORK", 1)  # a batch per point, so points cap too
         monkeypatch.setattr(_run, "usable_cpus", lambda: 4)
         grid = self.small_grid()
         serial = run_grid(grid)
@@ -464,15 +466,15 @@ class TestGrids:
         assert recs[1].result is not None and recs[1].error is None
 
 
-def _kernel_cells(grid):
-    """(run_grid's records, the cells its batch kernel calls enumerated, and the cells it logged)."""
+def _kernel_work(grid):
+    """(run_grid's records, the work of its batch kernel calls' scenarios, and the work it logged)."""
     log = io.StringIO()
     with mock.patch.object(_backend, "batch_cover_sums", wraps=_backend.batch_cover_sums) as spy:
         records = run_grid(grid, log=log)
-    cells = sum((a_hi - a_lo + 1) * (c_hi - c_lo + 1)
-                for call in spy.call_args_list for _, _, a_lo, a_hi, c_lo, c_hi, *_ in call.args[0])
-    counted = int(re.fullmatch(r"coverage: (\d+) window cells in .*\n", log.getvalue()).group(1))
-    return records, cells, counted
+    work = sum(_backend.work(a_hi - a_lo + 1, c_hi - c_lo + 1)
+               for call in spy.call_args_list for _, _, a_lo, a_hi, c_lo, c_hi, *_ in call.args[0])
+    logged = int(re.fullmatch(r"coverage: (\d+) kernel rows and columns in .*\n", log.getvalue()).group(1))
+    return records, work, logged
 
 
 # the shape of the benchmark's coverage-paper grid (both strata, 135 points)
@@ -481,28 +483,42 @@ PAPER_SLICE = GridSpec((500, 1000, 2000), (500, 1000, 2000),
 
 
 class TestGridWork:
-    def test_count_equals_kernel_cells_with_flagged_points(self):
+    def test_work_is_rows_plus_columns_per_piece(self, monkeypatch):
+        assert _backend.work(300, 200) == 500 and _backend.work(0, 200) == 0
+        monkeypatch.setattr(_backend, "_BATCH_ROWS", 64)
+        assert _backend.work(129, 200) == 129 + 3 * 200
+        assert _backend.work(129, 500, 4) == 4 * 129 + 3 * 500
+
+    def test_count_equals_kernel_work_with_flagged_points(self, monkeypatch):
         # n = 1 has an empty window, rho -0.5 is inadmissible at pi 0.1,
         # rho 1.0 empties stratum 0, pi 1.0 is out of range; duplicate
         # axis values count once per point
         grid = GridSpec((1, 30, 30), (1, 25), (0.1, 0.5, 1.0), (0.3, 0.6),
                         (-0.5, 0.2, 1.0), (0.4,), stratum=0)
-        records, kernel, counted = _kernel_cells(grid)
-        assert any(r.error for r in records) and any(r.result for r in records)
-        assert counted == kernel > 0
+        for rows in (4096, 7):  # one piece per window; several
+            monkeypatch.setattr(_backend, "_BATCH_ROWS", rows)
+            records, kernel, logged = _kernel_work(grid)
+            assert any(r.error for r in records) and any(r.result for r in records)
+            assert logged == kernel > 0
 
     @pytest.mark.parametrize("stratum", [1, 0])
-    def test_count_equals_kernel_cells_on_paper_slice(self, stratum):
-        _, kernel, counted = _kernel_cells(dataclasses.replace(PAPER_SLICE, stratum=stratum))
-        assert counted == kernel
-        assert counted == {1: 4_937_480, 0: 3_695_849}[stratum]  # under 2^27: no pool
+    def test_count_equals_kernel_work_on_paper_slice(self, stratum):
+        _, kernel, logged = _kernel_work(dataclasses.replace(PAPER_SLICE, stratum=stratum))
+        assert logged == kernel
+        assert logged == {1: 52_383, 0: 44_688}[stratum]  # under one quota: no pool
+
+    def test_paper_slice_runs_in_at_most_seven_kernel_calls(self):
+        for stratum in (1, 0):
+            with mock.patch.object(_backend, "_row_sums", wraps=_backend._row_sums) as chunks:
+                run_grid(dataclasses.replace(PAPER_SLICE, stratum=stratum))
+            assert chunks.call_count <= 7
 
     def test_no_admissible_group_counts_nothing_and_builds_nothing(self, monkeypatch):
         built = []
         monkeypatch.setattr(coverage, "pmf_vector", lambda n, p: built.append(n))
         grid = GridSpec((20,), (20,), (0.5,), (0.5,), (0.5,), (1.0,), stratum=0)
-        records, _, counted = _kernel_cells(grid)
-        assert counted == 0 and built == []
+        records, _, logged = _kernel_work(grid)
+        assert logged == 0 and built == []
         assert records[0].error
 
     def test_small_grid_starts_no_pool(self, monkeypatch, recording_pool):
@@ -513,7 +529,19 @@ class TestGridWork:
             run_grid(dataclasses.replace(PAPER_SLICE, stratum=stratum), threads=2)
         assert created == []
 
-    def test_paper_grid_gets_a_worker_per_cell_quota(self, monkeypatch, recording_pool):
+    def test_large_n_grid_with_little_work_starts_no_pool(self, monkeypatch, recording_pool):
+        # 36 points at n = 10^5: 1.4 x 10^8 window cells, but 143,484 units of work
+        pool, created = recording_pool
+        monkeypatch.setattr(_run, "_process_pool", pool)
+        monkeypatch.setattr(_run, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(coverage, "_evaluate_batch", lambda batch: batch)
+        pi = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+        log = io.StringIO()
+        run_grid(GridSpec((100000,), (100000,), pi, pi, (0.5,), (0.5,)), threads=2, log=log)
+        assert created == []
+        assert log.getvalue() == "coverage: 143484 kernel rows and columns in 36 points, 1 worker\n"
+
+    def test_paper_grid_gets_a_worker_per_work_quota(self, monkeypatch, recording_pool):
         pool, created = recording_pool
         monkeypatch.setattr(_run, "_process_pool", pool)
         monkeypatch.setattr(_run, "usable_cpus", lambda: 4)
@@ -522,13 +550,13 @@ class TestGridWork:
         log = io.StringIO()
         run_grid(paper_grid(), threads=4, log=log)  # under one quota: no pool
         assert created == []
-        assert log.getvalue() == "coverage: 52722121 window cells in 2025 points, 1 worker\n"
-        monkeypatch.setattr(coverage, "_CELLS_PER_WORKER", 2 ** 24)
+        assert log.getvalue() == "coverage: 653490 kernel rows and columns in 2025 points, 1 worker\n"
+        monkeypatch.setattr(coverage, "_WORK_PER_WORKER", 2 ** 17)
         log = io.StringIO()
         run_grid(paper_grid(), threads=4, log=log)
         run_grid(paper_grid(), threads=2)
         assert created == [4, 2]
-        assert log.getvalue() == "coverage: 52722121 window cells in 2025 points, 4 workers\n"
+        assert log.getvalue() == "coverage: 653490 kernel rows and columns in 2025 points, 4 workers\n"
 
     def test_pool_pickles_each_margin_once_per_worker(self, monkeypatch):
         sent = []
@@ -541,7 +569,7 @@ class TestGridWork:
 
         monkeypatch.setattr(_run, "_process_pool", lambda max_workers: PicklingPool([], max_workers))
         monkeypatch.setattr(_run, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(coverage, "_CELLS_PER_WORKER", 1)
+        monkeypatch.setattr(coverage, "_WORK_PER_WORKER", 1)
         monkeypatch.setattr(coverage, "_evaluate_batch", lambda batch: batch)
         items = run_grid(paper_grid(), threads=2)
         assert [item[0] for item in items] == list(paper_grid().points())
@@ -561,25 +589,53 @@ class TestGridWork:
     def test_log_line(self):
         log = io.StringIO()
         run_grid(TestGrids().small_grid(), threads=2, log=log)
-        assert log.getvalue() == "coverage: 8352 window cells in 8 points, 1 worker\n"
+        assert log.getvalue() == "coverage: 520 kernel rows and columns in 8 points, 1 worker\n"
 
-    def test_window_over_the_cap_is_refused_before_the_kernel(self):
-        # --prune 0 at n = 10^5: 99999^2 ~ 10^10 cells; the kernel must not run
-        grid = GridSpec((100000,), (100000,), (0.3,), (0.3,), (0.5,), (0.5,), prune_epsilon=0.0)
-        spy = mock.Mock(side_effect=AssertionError("kernel ran"))
-        with mock.patch.object(_backend, "batch_cover_sums", spy):
-            with pytest.raises(DomainError, match=r"9999800001 cells \(n_E = 100000, n_nonE = 100000\).*--prune"):
-                run_grid(grid)
-        assert spy.call_count == 0
-
-    def test_cap_bounds_the_largest_window_not_the_total(self, monkeypatch):
-        # windows 29 (n = 30) and 24 (n = 25) at prune 0; the total is larger
+    def test_work_over_the_cap_is_refused_before_the_kernel(self, monkeypatch):
+        # windows 29 (n = 30), 19 (n = 20), 24 (n = 25) and 9 (n = 10) at prune 0
         grid = GridSpec((30, 20), (25, 10), (0.5,), (0.5,), (0.2,), (0.2,), prune_epsilon=0.0)
-        monkeypatch.setattr(coverage, "_MAX_WINDOW_CELLS", 29 * 24)
+        work = 2 * (29 + 19) + (24 + 9) * 2
+        built = []
+        monkeypatch.setattr(coverage, "pmf_vector", lambda n, p, pmf=coverage.pmf_vector: built.append(n) or pmf(n, p))
+        monkeypatch.setattr(coverage, "_MAX_WORK", work)
         assert all(r.result for r in run_grid(grid))
-        monkeypatch.setattr(coverage, "_MAX_WINDOW_CELLS", 29 * 24 - 1)
-        with pytest.raises(DomainError, match="696 cells"):
+        monkeypatch.setattr(coverage, "_MAX_WORK", work - 1)
+        built.clear()
+        spy = mock.Mock(side_effect=AssertionError("kernel ran"))
+        monkeypatch.setattr(_backend, "batch_cover_sums", spy)
+        monkeypatch.setattr(coverage, "_evaluate_batch", spy)
+        with pytest.raises(DomainError, match=rf"kernel work is {work} window rows and columns, over the cap "
+                                              rf"of {work - 1}; a larger --prune \(now 0.0\)"):
             run_grid(grid)
+        assert spy.call_count == 0 and sorted(built) == [10, 20, 25, 30]  # the margin table only
+
+    def test_unpruned_n_100000_is_not_refused(self, monkeypatch):
+        # 99,999 rows in 25 pieces, each carrying 99,999 columns
+        grid = GridSpec((100000,), (100000,), (0.3,), (0.3,), (0.5,), (0.5,), prune_epsilon=0.0)
+        monkeypatch.setattr(coverage, "_evaluate_batch", lambda batch: batch)
+        log = io.StringIO()
+        [item] = run_grid(grid, log=log)
+        assert item[4][0].lo == 1 and item[4][0].hi == 99999
+        assert log.getvalue() == f"coverage: {99999 + 25 * 99999} kernel rows and columns in 1 points, 1 worker\n"
+
+    def test_chunk_memory_does_not_grow_with_the_points(self):
+        # 2 rows and ~890 columns per point: packed by rows alone, every point went into one chunk
+        def grid(pis, rhos):
+            return GridSpec((3,), (20000,), pis, (0.5,), rhos, (0.5,))
+
+        def peak(grid):
+            tracemalloc.start()
+            try:
+                assert len(run_grid(grid)) == grid.size()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        axis = tuple(round(0.3 + 0.02 * i, 2) for i in range(20))
+        small, large = grid(axis[:5], axis[:10]), grid(axis, axis)
+        run_grid(small)  # the log-factorial table grows to n = 20,000 outside the traced runs
+        assert large.size() == 8 * small.size() == 400
+        assert peak(large) <= 1.5 * peak(small)
 
     def test_unpruned_n_5000_still_runs(self):
         grid = GridSpec((5000,), (5000,), (0.3,), (0.3,), (0.5,), (0.5,), prune_epsilon=0.0)

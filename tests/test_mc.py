@@ -189,6 +189,7 @@ class TestMCCoverage:
     @pytest.mark.parametrize("margin_model", MARGIN_MODELS)
     def test_thread_count_is_invisible(self, monkeypatch, margin_model):
         monkeypatch.setattr(mc, "_BLOCK_REPS", 64)  # 5 blocks
+        monkeypatch.setattr(mc, "_DRAWS_PER_WORKER", 1)  # so 3 workers split them
         s = spec(n_e=60, n_ne=60, reps=300)
         serial = mc_coverage(s, margin_model=margin_model, threads=1)
         parallel = mc_coverage(s, margin_model=margin_model, threads=3)
@@ -384,6 +385,7 @@ class TestWorkerCap:
         monkeypatch.setattr(_run, "_process_pool", pool)
         monkeypatch.setattr(_run, "usable_cpus", lambda: 4)
         monkeypatch.setattr(mc, "_BLOCK_REPS", 1)  # a job per replication
+        monkeypatch.setattr(mc, "_DRAWS_PER_WORKER", 1)  # draws never cap here
         s = spec(n_e=20, n_ne=20, reps=30)
         serial = mc_coverage(s, threads=1)
         assert mc_coverage(s, threads=100000) == serial
@@ -391,6 +393,20 @@ class TestWorkerCap:
         assert mc_coverage(spec(n_e=20, n_ne=20, reps=2), threads=100000) == mc_coverage(
             spec(n_e=20, n_ne=20, reps=2))
         assert created == [4, 3, 2]
+
+    @pytest.mark.parametrize("margin_model", MARGIN_MODELS)
+    def test_a_quota_of_draws_per_worker(self, monkeypatch, recording_pool, margin_model):
+        pool, created = recording_pool
+        monkeypatch.setattr(_run, "_process_pool", pool)
+        monkeypatch.setattr(_run, "usable_cpus", lambda: 4)
+        per_rep = 4 if margin_model == "cohort" else 2
+        log = io.StringIO()
+        mc_coverage(spec(n_e=20, n_ne=20, reps=20_000), margin_model=margin_model, threads=2, log=log)
+        assert created == []  # 2 blocks, but far from 2^21 draws
+        assert log.getvalue() == f"oracle: 20000 replications, {20_000 * per_rep} binomial draws, 1 worker\n"
+        monkeypatch.setattr(mc, "_DRAWS_PER_WORKER", 40_000 * per_rep // 2 + 1)
+        mc_coverage(spec(n_e=20, n_ne=20, reps=40_000), margin_model=margin_model, threads=4)
+        assert created == [2]  # 1 + draws // quota, under the 4 threads and 3 blocks
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_run_in_process(self, monkeypatch, recording_pool, threads):
@@ -406,10 +422,11 @@ class TestWorkerCap:
         monkeypatch.setattr(_run.os, "cpu_count", lambda: 64)
         monkeypatch.setattr(_run.os, "sched_getaffinity", lambda pid: {3}, raising=False)
         assert _run.usable_cpus() == 1
-        assert _run.worker_count(8, 8) == 1
+        assert _run.worker_count(8, 8, 8, 1) == 1
         monkeypatch.delattr(_run.os, "sched_getaffinity", raising=False)
         assert _run.usable_cpus() == 64
-        assert _run.worker_count(8, 8) == 8
+        assert _run.worker_count(8, 8, 8, 1) == 8
+        assert _run.worker_count(8, 8, 8, 2) == 5  # 1 + work // quota
 
     def test_one_worker_is_decided_without_counting_cpus(self, monkeypatch, recording_pool):
         def uncounted():
@@ -418,8 +435,9 @@ class TestWorkerCap:
         pool, created = recording_pool
         monkeypatch.setattr(_run, "_process_pool", pool)
         monkeypatch.setattr(_run, "usable_cpus", uncounted)
-        assert _run.worker_count(1, 8) == 1 and _run.worker_count(8, 1) == 1
-        # 16 points whose few window cells hold the grid to one worker
+        assert _run.worker_count(1, 8, 8, 1) == 1 and _run.worker_count(8, 1, 8, 1) == 1
+        assert _run.worker_count(8, 8, 1, 2) == 1
+        # 16 points whose little kernel work holds the grid to one worker
         grid = GridSpec((20, 30), (20, 30), (0.3, 0.5), (0.3, 0.5), (0.5,), (0.5,))
         assert len(run_grid(grid, threads=2)) == 16
         assert mc_coverage(spec(n_e=20, n_ne=20, reps=30), threads=1).reps == 30
