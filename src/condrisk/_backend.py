@@ -14,9 +14,12 @@ interior are decided one at a time (proofs at _BAND).  A row's cover is
 P[e] - P[s], P the prefix sums of the non-exposed pmf window, plus the pmf
 of each covered edge column in column order; its noncover is P[W] minus
 that.  Each scenario's rows, times the exposed pmf, take one math.fsum.
-Pieces of at most _BATCH_ROWS rows, each with its scenario's columns, run in chunks of
-under _BATCH_WORK units of work() plus one piece, so memory is O(_BATCH_WORK + window); all
-row arithmetic is elementwise, so the sums never depend on the chunks or a thread layout.
+Every per-count value comes from window_arrays, built once per margin.
+Pieces of at most _BATCH_ROWS rows run in chunks of under _BATCH_WORK units
+of work() plus one piece; a chunk gathers its rows from the exposed arrays
+and copies each of its distinct column windows once (none if it has one),
+so its memory is O(_BATCH_WORK + window).  All row arithmetic is
+elementwise, so the sums never depend on the chunks or a thread layout.
 """
 
 import itertools
@@ -26,7 +29,7 @@ import numpy as np
 
 from .measures import log_wald_bounds
 
-__all__ = ["batch_cover_sums", "cover_sums", "packed", "work"]
+__all__ = ["batch_cover_sums", "cover_sums", "packed", "window_arrays", "work"]
 
 # Rows per piece of a scenario's window.
 _BATCH_ROWS = 4096
@@ -67,28 +70,34 @@ _BAND = 1e-9
 # threshold by a few ulp, which the margin in f' absorbs.
 
 
+def window_arrays(pmf, lo, n):
+    """The kernel's read-only rows for the pmf of a Binomial(n, .) margin at the counts lo, lo + 1, ...:
+    a copy of pmf, its cumsum, the counts k, log r, (1 - r)/(n*r) and k(1 - r), r = k/n as in log_wald_bounds."""
+    k = np.arange(lo, lo + len(pmf), dtype=np.float64)
+    risk = k / n
+    arrays = np.array([pmf, np.cumsum(pmf), k, np.log(risk), (1.0 - risk) / (n * risk), k * (1.0 - risk)])
+    arrays.setflags(write=False)
+    return arrays
+
+
 def _row_sums(pieces, z):
-    """Each row's weighted (cover, noncover), as lists, over pieces (scenario, a_lo, a_hi)."""
-    windows = [sc[1][sc[4]:sc[5] + 1] for sc, _, _ in pieces]
-    widths = np.array([w.size for w in windows])
-    counts = np.array([hi + 1 - lo for _, lo, hi in pieces])
+    """Each row's weighted (cover, noncover), as lists, over pieces (scenario, i, j): its rows i..j - 1."""
+    # each distinct column window once, in order of first use
+    columns = list({id(sc[1]): sc[1] for sc, _, _ in pieces}.values())
+    slot = {id(w): s for s, w in enumerate(columns)}
+    widths = np.array([w.shape[1] for w in columns])
     start = np.cumsum(widths) - widths
-    c = np.concatenate([np.arange(sc[4], sc[5] + 1, dtype=np.float64) for sc, _, _ in pieces])
-    n_e, n_ne, rr = (np.array(v) for v in zip(*(sc[6:] for sc, _, _ in pieces)))
-    n_col = np.repeat(n_ne, widths)
-    risk = c / n_col  # v = (1 - r)/(n*r) as log_wald_bounds forms it, here and for the rows
-    col, col_var, interior = np.log(risk), (1.0 - risk) / (n_col * risk), c * (1.0 - risk) >= z * z
-    prefix = np.concatenate([np.concatenate(([0.0], w.cumsum())) for w in windows])
-    bounds = np.array([(f[0], f[-1] + 1) if (f := np.flatnonzero(interior[s:s + w])).size else (w, w)
+    pc, _, c, col, col_var, spread = columns[0] if len(columns) == 1 else np.concatenate(columns, axis=1)
+    prefix = np.concatenate([part for w in columns for part in ((0.0,), w[1])])
+    bounds = np.array([(f[0], f[-1] + 1) if (f := np.flatnonzero(spread[s:s + w] >= z * z)).size else (w, w)
                        for s, w in zip(start, widths)])
-    # each row with its piece's values; pfx is its window's P[0] in prefix
-    piece = np.repeat(np.arange(len(pieces)), counts)
-    a = np.concatenate([np.arange(lo, hi + 1, dtype=np.float64) for _, lo, hi in pieces])
-    weight = np.concatenate([sc[0][lo:hi + 1] for sc, lo, hi in pieces])
-    n_e, n_ne, rr, first_col, width = n_e[piece], n_ne[piece], rr[piece], start[piece], widths[piece]
-    (j0, j1), c_lo, pfx = bounds[piece].T, c[first_col], first_col + piece
-    risk = a / n_e
-    row, row_var = np.log(risk) - np.log(rr), (1.0 - risk) / (n_e * risk)
+    # each row with its piece's values; window is its column window's slot, pfx its P[0] in prefix
+    piece = np.repeat(np.arange(len(pieces)), [j - i for _, i, j in pieces])
+    weight, _, a, row, row_var, _ = np.concatenate([sc[0][:, i:j] for sc, i, j in pieces], axis=1)
+    values = [(*sc[2:], slot[id(sc[1])]) for sc, _, _ in pieces]
+    n_e, n_ne, rr, window = (np.array(v)[piece] for v in zip(*values))
+    first_col, width, (j0, j1) = start[window], widths[window], bounds[window].T
+    c_lo, pfx, row = c[first_col], first_col + window, row - np.log(rr)
 
     def holds(i, j, upper):
         """The upper (or lower) test at the rows of index array i and window offsets j."""
@@ -126,14 +135,14 @@ def _row_sums(pieces, z):
     e = first(np.zeros_like(width), width.copy(), seed, True)
     s = first(j0.copy(), np.minimum(e, j1), seed, False)
     cover = prefix[pfx + np.maximum(np.minimum(e, j1), s)] - prefix[pfx + s]
-    # the edge columns of each row, in column order, added in that order
-    pairs = [(np.repeat(np.arange(r0, r0 + n), lo + w - hi), np.tile(np.r_[0:lo, hi:w], n))
-             for r0, n, (lo, hi), w in zip((np.cumsum(counts) - counts).tolist(), counts.tolist(),
-                                           bounds.tolist(), widths.tolist()) if lo or hi < w]
-    if pairs:
-        r, j = (np.concatenate(part) for part in zip(*pairs))
+    # the edge columns of each row, [0, j0) then [j1, width), in column order, added in that order
+    edges = j0 + width - j1
+    r = np.repeat(np.arange(edges.size), edges)
+    if r.size:
+        j = np.arange(r.size) - np.repeat(np.cumsum(edges) - edges, edges)  # the pair's place in its row
+        j += (j >= j0[r]) * (j1 - j0)[r]
         ok = (j < e[r]) & holds(r, j, False)
-        np.add.at(cover, r, np.where(ok, np.concatenate(windows)[first_col[r] + j], 0.0))
+        np.add.at(cover, r, np.where(ok, pc[first_col[r] + j], 0.0))
     noncover = prefix[pfx + width] - cover
     return (weight * cover).tolist(), (weight * noncover).tolist()
 
@@ -151,24 +160,26 @@ def packed(items, sizes, cap):
 
 
 def batch_cover_sums(scenarios, z):
-    """Yield (cover, noncover) of each scenario (pa, pc, a_lo, a_hi, c_lo, c_hi, n_e, n_ne, true_rr).
+    """Yield (cover, noncover) of each scenario (exposed, non_exposed, n_e, n_ne, true_rr).
 
-    pa and pc are the float64 pmfs of the outcome counts (index = count);
-    the inclusive windows are non-empty, within 0 < a < n_e, 0 < c < n_ne.
+    exposed and non_exposed are the window_arrays of the two outcome counts'
+    windows, non-empty and within 0 < a < n_e, 0 < c < n_ne.
     """
     rows = _BATCH_ROWS
-    pieces = [(sc, lo, min(lo + rows - 1, sc[3])) for sc in scenarios for lo in range(sc[2], sc[3] + 1, rows)]
+    pieces = [(sc, i, min(i + rows, sc[0].shape[1])) for sc in scenarios for i in range(0, sc[0].shape[1], rows)]
     covers, noncovers = [], []
-    for chunk in packed(pieces, [work(hi + 1 - lo, sc[5] + 1 - sc[4]) for sc, lo, hi in pieces], _BATCH_WORK):
+    for chunk in packed(pieces, [work(j - i, sc[1].shape[1]) for sc, i, j in pieces], _BATCH_WORK):
         cover, noncover = map(iter, _row_sums(chunk, z))
-        for sc, lo, hi in chunk:
-            covers += itertools.islice(cover, hi + 1 - lo)
-            noncovers += itertools.islice(noncover, hi + 1 - lo)
-            if hi == sc[3]:
+        for sc, i, j in chunk:
+            covers += itertools.islice(cover, j - i)
+            noncovers += itertools.islice(noncover, j - i)
+            if j == sc[0].shape[1]:
                 yield math.fsum(covers), math.fsum(noncovers)
                 covers, noncovers = [], []
 
 
 def cover_sums(pa, pc, a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z, true_rr):
-    """(cover, noncover) of one scenario: batch_cover_sums of a batch of one."""
-    return next(batch_cover_sums([(pa, pc, a_lo, a_hi, c_lo, c_hi, n_e, n_ne, true_rr)], z))
+    """(cover, noncover) of one scenario of pmfs pa and pc (index = count) and inclusive windows:
+    batch_cover_sums of a batch of one."""
+    exposed, non_exposed = window_arrays(pa[a_lo:a_hi + 1], a_lo, n_e), window_arrays(pc[c_lo:c_hi + 1], c_lo, n_ne)
+    return next(batch_cover_sums([(exposed, non_exposed, n_e, n_ne, true_rr)], z))

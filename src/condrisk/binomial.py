@@ -169,12 +169,17 @@ def _log_pmf(hi_n, lo_n, hi_k, lo_k, hi_r, lo_r, k, r, p):
 _BERNSTEIN_EXPONENT = 760.0
 
 
-def _support(n: int, p: float) -> np.ndarray:
-    """The counts pmf_vector evaluates: [floor(np - t), ceil(np + t)] within [0, n], and 0 and n."""
+def support_bounds(n: int, p: float) -> tuple[int, int]:
+    """[floor(np - t), ceil(np + t)] within [0, n]: pmf_vector's nonzero entries other than 0 and n lie in it."""
     _check_probability(p)
     third = _BERNSTEIN_EXPONENT / 3.0
     t = third + math.sqrt(third * third + 2.0 * _BERNSTEIN_EXPONENT * n * p * (1.0 - p))
-    lo, hi = max(0, math.floor(n * p - t)), min(n, math.ceil(n * p + t))
+    return max(0, math.floor(n * p - t)), min(n, math.ceil(n * p + t))
+
+
+def _support(n: int, p: float) -> np.ndarray:
+    """The counts pmf_vector evaluates: support_bounds(n, p), and 0 and n."""
+    lo, hi = support_bounds(n, p)
     # one more count at each end where an atom is outside, then the atoms there
     k = np.arange(lo - (lo > 0), hi + 1 + (hi < n))
     k[0], k[-1] = 0, n

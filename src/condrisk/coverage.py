@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _backend
 from ._run import map_jobs, worker_count, write_table
-from .binomial import neumaier_sum, pmf_vector, prune_window
+from .binomial import neumaier_sum, pmf_vector, prune_window, support_bounds
 from .errors import DomainError, ParseError
 from .measures import z_quantile
 from .model import DEFAULT_PI_AXIS, DEFAULT_RHO_AXIS, BernoulliPairParams, stratum_risk, stratum_risks
@@ -47,13 +47,6 @@ _TAIL_SLACK = 2.0 ** -30
 
 # default study-grid sizes; the risk and correlation axes are model's
 DEFAULT_N_AXIS = (500, 1000, 2000)
-
-
-def _check_prune(prune_epsilon: float) -> None:
-    if not 0.0 <= prune_epsilon < 1e-6:
-        raise DomainError(
-            f"prune_epsilon must be in [0, 1e-6), got {prune_epsilon!r}"
-        )
 
 
 _SIZE_NAMES = {"exposed": "n_e", "non-exposed": "n_ne"}
@@ -142,35 +135,41 @@ class CoverageResult:
 class Margin:
     """The per-margin values of one Binomial(n, p) outcome count.
 
-    pmf is read-only, since scenarios sharing the margin share the array;
-    [lo, hi] is the pruned window, empty when lo > hi; tail is the mass of
-    the counts 0 < k < n outside the window, and atoms the mass of k = 0
-    plus k = n.
-    """
+    [lo, hi] is the pruned window, empty when lo > hi, and arrays its
+    _backend.window_arrays (read-only: scenarios sharing the margin share
+    them; the full pmf is not kept).  tail is the mass of the counts
+    0 < k < n outside the window, and atoms the mass of k = 0 plus k = n."""
 
-    pmf: np.ndarray
+    arrays: np.ndarray
     lo: int
     hi: int
     tail: float
     atoms: float
 
 
-# Cap on the pmf doubles of a grid's distinct margins, the sum of n + 1
-# over them: 2^23 doubles are 64 MiB.  run_grid checks it from the (n, p)
-# keys before any margin is built, since building one peaks at about 25
-# bytes per unit of n, 16 of them kept by the log-factorial table (23 MB
-# and 0.35-0.55 s at n = 10^6, from an empty table, on a 2-core x86-64 VM,
-# Python 3.11).
+# Cap on the doubles of a grid's margin table: the 6 rows of window_arrays
+# per count of each distinct margin's window, plus the n + 1 of the one pmf
+# being built.  run_grid checks it from the (n, p) keys before any margin
+# is built, with _window_bound for each width; 2^23 doubles are 64 MiB.
+# Building a margin peaks at about 25 bytes per unit of n, 16 of them kept
+# by the log-factorial table (23 MB and 0.35-0.55 s at n = 10^6, from an
+# empty table, on a 2-core x86-64 VM, Python 3.11).
 _MAX_MARGIN_DOUBLES = 2 ** 23
+
+
+def _window_bound(n: int, p: float, prune_epsilon: float) -> int:
+    """A bound on the width of Binomial(n, p)'s window, before any pmf: the counts 0 < k < n, and
+    when pruned only those within support_bounds, since pruning drops every zero of the pmf."""
+    lo, hi = (1, n - 1) if prune_epsilon == 0.0 else support_bounds(n, p)
+    return max(0, min(hi, n - 1) - max(lo, 1) + 1)
 
 
 def _margin(n: int, p: float, prune_epsilon: float) -> Margin:
     """The Margin of Binomial(n, p) at this prune epsilon."""
     pmf = pmf_vector(n, p)
-    pmf.setflags(write=False)
     lo, hi = prune_window(pmf, prune_epsilon)
     return Margin(
-        pmf=pmf,
+        arrays=_backend.window_arrays(pmf[lo:hi + 1], lo, n),
         lo=lo,
         hi=hi,
         tail=neumaier_sum(pmf, 1, lo) + neumaier_sum(pmf, max(lo, hi + 1), n),
@@ -178,43 +177,20 @@ def _margin(n: int, p: float, prune_epsilon: float) -> Margin:
     )
 
 
-def exact_coverage(scenario: Scenario, prune_epsilon: float = DEFAULT_PRUNE,
-                   margins=None) -> CoverageResult:
-    """Exact CI coverage for one scenario by full table enumeration.
+def exact_coverage(scenario: Scenario, prune_epsilon: float = DEFAULT_PRUNE) -> CoverageResult:
+    """Exact CI coverage for one scenario by full table enumeration: run_grid of its one-point grid.
 
     Sums over the count pairs (a, c), 0 < a < n_e and 0 < c < n_ne, in the
-    pruned windows with _backend.cover_sums, reproducible to the last bit.
-    margins is the (exposed, non-exposed) Margin pair at this prune
-    epsilon, as run_grid passes from its table; when None, both are built
-    here, with the same values.  The degenerate mass comes from the four
-    atoms (a or c at 0 or at its margin), so it is never negative.  The
-    truncation bound, from the two margins' tail masses, bounds the skipped
-    mass of the computed pmfs, not of the exact binomials (see _TAIL_SLACK).
+    pruned windows, reproducible to the last bit.  The degenerate mass comes
+    from the four atoms (a or c at 0 or at its margin), so it is never
+    negative.  The truncation bound, from the two margins' tail masses,
+    bounds the skipped mass of the computed pmfs, not of the exact binomials
+    (see _TAIL_SLACK).  A scenario over run_grid's caps raises DomainError.
     """
-    _check_prune(prune_epsilon)
-    p_e, p_ne, true_rr = true_conditional_risks(scenario)
-    z = z_quantile(scenario.level)
-    if margins is None:
-        margins = _margin(scenario.n_e, p_e, prune_epsilon), _margin(scenario.n_ne, p_ne, prune_epsilon)
-    window = _window(scenario.n_e, scenario.n_ne, true_rr, margins)
-    sums = (0.0, 0.0) if window is None else _backend.cover_sums(*window[:8], z, window[8])
-    return _result(true_rr, margins, sums)
-
-
-def _window(n_e: int, n_ne: int, true_rr: float, margins):
-    """The kernel's scenario (pa, pc, a_lo, a_hi, c_lo, c_hi, n_e, n_ne, true_rr); None if no window."""
-    if margins is None or margins[0].lo > margins[0].hi or margins[1].lo > margins[1].hi:
-        return None
-    a, c = margins
-    return a.pmf, c.pmf, a.lo, a.hi, c.lo, c.hi, n_e, n_ne, true_rr
-
-
-def _result(true_rr: float, margins, sums) -> CoverageResult:
-    """The CoverageResult of a scenario from its margins and the kernel's (cover, noncover)."""
-    (a, c), (cover, noncover) = margins, sums
-    # the degenerate mass: P(a or c at an atom), by inclusion-exclusion
-    return CoverageResult(true_rr, cover, noncover, a.atoms + c.atoms - a.atoms * c.atoms,
-                          (a.tail + c.tail) * (1.0 + _TAIL_SLACK))
+    s = scenario
+    grid = GridSpec((s.n_e,), (s.n_ne,), (s.pi_e,), (s.pi_ne,), (s.rho_e,), (s.rho_ne,),
+                    s.stratum, s.level, prune_epsilon)
+    return run_grid(grid)[0].result
 
 
 @dataclass(frozen=True)
@@ -238,7 +214,8 @@ class GridSpec:
         if self.stratum not in (0, 1):
             raise DomainError(f"stratum must be 0 or 1, got {self.stratum!r}")
         z_quantile(self.level)  # checks the level
-        _check_prune(self.prune_epsilon)
+        if not 0.0 <= self.prune_epsilon < 1e-6:
+            raise DomainError(f"prune_epsilon must be in [0, 1e-6), got {self.prune_epsilon!r}")
 
     def points(self):
         """Grid points in lexicographic axis order."""
@@ -284,19 +261,22 @@ class GridRecord:
 
 
 def _evaluate_batch(items) -> list:
-    """The GridRecords of grid points (point, stratum, level, true_rr, margins), one kernel call for all."""
-    windows = [_window(point[0], point[1], true_rr, margins) for point, _, _, true_rr, margins in items]
-    sums = _backend.batch_cover_sums([w for w in windows if w is not None], z_quantile(items[0][2]))
+    """The GridRecords of grid points (point, stratum, level, true_rr, margins, error), one kernel call for all.
+
+    A flagged point has margins None; one with an empty window gets (cover, noncover) = (0, 0)."""
+    runs = [margins is not None and all(m.lo <= m.hi for m in margins) for *_, margins, _ in items]
+    scenarios = [(margins[0].arrays, margins[1].arrays, point[0], point[1], true_rr)
+                 for (point, _, _, true_rr, margins, _), run in zip(items, runs) if run]
+    sums = _backend.batch_cover_sums(scenarios, z_quantile(items[0][2]))
     records = []
-    for (point, stratum, level, true_rr, margins), window in zip(items, windows):
-        if margins is None:  # a group is inadmissible: its Scenario raises why
-            try:
-                Scenario(*point, stratum, level)
-            except DomainError as exc:
-                records.append(GridRecord(*point, stratum, level, None, str(exc)))
-                continue
-        result = _result(true_rr, margins, next(sums) if window else (0.0, 0.0))
-        records.append(GridRecord(*point, stratum, level, result))
+    for (point, stratum, level, true_rr, margins, error), run in zip(items, runs):
+        result = None
+        if margins is not None:
+            (a, c), (cover, noncover) = margins, next(sums) if run else (0.0, 0.0)
+            # the degenerate mass: P(a or c at an atom), by inclusion-exclusion
+            result = CoverageResult(true_rr, cover, noncover, a.atoms + c.atoms - a.atoms * c.atoms,
+                                    (a.tail + c.tail) * (1.0 + _TAIL_SLACK))
+        records.append(GridRecord(*point, stratum, level, result, error))
     return records
 
 
@@ -309,18 +289,18 @@ _MAX_WORK = 2 ** 31
 
 
 def _group_keys(n_axis, pi_axis, rho_axis, stratum: int, group: str) -> list:
-    """((n, pi, rho), (n, p)) of each admissible margin of one group.
+    """((n, pi, rho), (n, p), None) of each admissible margin of one group, ((n, pi, rho), None, why) of the rest.
 
-    One entry per grid value, repeats included.  A point's group is
-    admissible exactly when _group_risk accepts it, so a point is flagged
-    exactly when one of its two groups is skipped here.
-    """
+    One entry per grid value, repeats included.  A group is admissible
+    exactly when _group_risk accepts it, and why is what it raises, so a
+    point's error, the exposed group's why or else the non-exposed one's,
+    is what its Scenario raises."""
     out = []
     for n, pi, rho in itertools.product(n_axis, pi_axis, rho_axis):
         try:
-            out.append(((n, pi, rho), (n, _group_risk(n, pi, rho, stratum, group))))
-        except DomainError:
-            pass
+            out.append(((n, pi, rho), (n, _group_risk(n, pi, rho, stratum, group)), None))
+        except DomainError as exc:
+            out.append(((n, pi, rho), None, str(exc)))
     return out
 
 
@@ -329,9 +309,9 @@ def run_grid(grid: GridSpec, threads: int = 1, log=None) -> list:
 
     Before any point runs, the grid's distinct (n, p) margins are built
     once into one table both groups share (none when a group has no
-    admissible margin, as no point would use it); pmfs over
-    _MAX_MARGIN_DOUBLES raise DomainError before any is built.  The sum of
-    each point's _backend.work comes from the two groups' window sums
+    admissible margin, as no point would use it); a table over
+    _MAX_MARGIN_DOUBLES raises DomainError before any pmf is built.  The
+    sum of each point's _backend.work comes from the two groups' window sums
     before any point is enumerated; over _MAX_WORK, it raises DomainError.
     The points run in batches of whole points with under
     _backend._BATCH_WORK units plus one point, one kernel call each, on at
@@ -344,31 +324,34 @@ def run_grid(grid: GridSpec, threads: int = 1, log=None) -> list:
         _group_keys(grid.n_e_axis, grid.pi_e_axis, grid.rho_e_axis, grid.stratum, "exposed"),
         _group_keys(grid.n_ne_axis, grid.pi_ne_axis, grid.rho_ne_axis, grid.stratum, "non-exposed"),
     ]
-    keys = dict.fromkeys(key for group in groups for _, key in group) if all(groups) else {}
-    doubles = sum(n + 1 for n, _ in keys)
+    admissible = [[key for _, key, _ in group if key] for group in groups]
+    keys = dict.fromkeys(admissible[0] + admissible[1]) if all(admissible) else {}
+    largest = max((n for n, _ in keys), default=-1)  # its pmf, n + 1 doubles, is the largest being built
+    doubles = largest + 1 + sum(6 * _window_bound(n, p, grid.prune_epsilon) for n, p in keys)
     if doubles > _MAX_MARGIN_DOUBLES:
         raise DomainError(
-            f"the grid's pmfs need {doubles} doubles (distinct margins: {len(keys)}, "
-            f"largest n: {max(n for n, _ in keys)}), over the cap of {_MAX_MARGIN_DOUBLES}"
+            f"the grid's margins need {doubles} doubles (distinct margins: {len(keys)}, "
+            f"largest n: {largest}), over the cap of {_MAX_MARGIN_DOUBLES}; "
+            f"a larger --prune (now {grid.prune_epsilon!r}) narrows the windows"
         )
     table = {(n, p): _margin(n, p, grid.prune_epsilon) for n, p in keys}
     width = {key: max(0, margin.hi - margin.lo + 1) for key, margin in table.items()}
-    cols = [width[key] for _, key in groups[1] if width.get(key)]
+    cols = [width[key] for key in admissible[1] if width.get(key)]
     total_cols, windows = sum(cols), len(cols)
-    work = sum(_backend.work(width[key], total_cols, windows) for _, key in groups[0] if key in width)
+    work = sum(_backend.work(width[key], total_cols, windows) for key in admissible[0] if key in width)
     if work > _MAX_WORK:
         raise DomainError(
             f"the grid's kernel work is {work} window rows and columns, over the cap of {_MAX_WORK}; "
             f"a larger --prune (now {grid.prune_epsilon!r}) narrows the windows"
         )
-    exposed, non_exposed = (dict(group) for group in groups)
+    exposed, non_exposed = ({value: (key, why) for value, key, why in group} for group in groups)
     items, sizes = [], []
     for point in grid.points():
         n_e, n_ne, pi_e, pi_ne, rho_e, rho_ne = point
-        key_e, key_ne = exposed.get((n_e, pi_e, rho_e)), non_exposed.get((n_ne, pi_ne, rho_ne))
-        margins = None if key_e is None or key_ne is None else (table[key_e], table[key_ne])
+        (key_e, why_e), (key_ne, why_ne) = exposed[n_e, pi_e, rho_e], non_exposed[n_ne, pi_ne, rho_ne]
+        margins = (table[key_e], table[key_ne]) if key_e and key_ne else None
         true_rr = None if margins is None else key_e[1] / key_ne[1]
-        items.append((point, grid.stratum, grid.level, true_rr, margins))
+        items.append((point, grid.stratum, grid.level, true_rr, margins, why_e or why_ne))
         sizes.append(0 if margins is None else _backend.work(width[key_e], width[key_ne]))
     batches = _backend.packed(items, sizes, _backend._BATCH_WORK)
     workers = worker_count(threads, len(batches), work, _WORK_PER_WORKER)

@@ -308,8 +308,11 @@ class TestSupportOnlyPmf:
         assert not full[outside].any()
         lo, hi = loop_prune_window(full, eps)
         margin = coverage._margin(n, p, eps)
-        assert margin.pmf.tobytes() == full.tobytes()
+        window, counts = full[lo:hi + 1], np.arange(lo, hi + 1, dtype=np.float64)
         assert (margin.lo, margin.hi) == (lo, hi)
+        assert margin.arrays[0].tobytes() == window.tobytes()
+        assert margin.arrays[1].tobytes() == np.cumsum(margin.arrays[0]).tobytes() == np.cumsum(window).tobytes()
+        assert margin.arrays[2].tobytes() == counts.tobytes()
         assert margin.tail == neumaier_sum(full, 1, lo) + neumaier_sum(full, max(lo, hi + 1), n)
         assert margin.atoms == float(full[0]) + float(full[n])
 
@@ -330,3 +333,9 @@ class TestSupportOnlyPmf:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # the pmf itself is 0.8 MB
+
+    def test_margin_at_n_1e5_keeps_its_window_not_its_pmf(self):
+        # the full pmf is 100,001 doubles, 800 KB; the window at p = 0.01 is about 456 counts
+        margin = coverage._margin(10**5, 0.01, 1e-12)
+        kept = [value for value in vars(margin).values() if isinstance(value, np.ndarray)]
+        assert sum(array.nbytes for array in kept) < 80_000

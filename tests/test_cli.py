@@ -371,6 +371,18 @@ class TestCoverage:
                             r"over the cap of 100; a larger --prune \(now 1e-12\) narrows the windows\n", err)
         assert not (tmp_path / "c.csv").exists()
 
+    def test_one_wide_unpruned_window_is_domain_error(self, tmp_path, capsys, monkeypatch):
+        # n_nonE = 8 x 10^6 at --prune 0 passes the work cap; the margins' doubles are refused first
+        path = tmp_path / "wide.txt"
+        path.write_text("n_E = 3\nn_nonE = 8000000\npi_E = 0.3\npi_nonE = 0.3\nrho_E = 0.5\nrho_nonE = 0.5\n")
+        monkeypatch.setattr(coverage, "pmf_vector", mock.Mock(side_effect=AssertionError("pmf built")))
+        code = main(["coverage", "--grid", str(path), "--prune", "0", "--out", str(tmp_path / "c.csv")])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "condrisk: domain error: the grid's margins need 56000007 doubles (distinct margins: 2, "
+            "largest n: 8000000), over the cap of 8388608; a larger --prune (now 0.0) narrows the windows\n")
+        assert not (tmp_path / "c.csv").exists()
+
 
 class TestCompare:
     def test_default_grid(self, tmp_path, capsys):

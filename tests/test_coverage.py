@@ -251,10 +251,9 @@ def _kernel_mask(args):
     """The kernel's mask of a window of at most 52 columns: with pc[c_lo + j] = 2^-(j+1) every
     sum is exact, so each row's cover, at weight 1, holds its covered columns as binary digits."""
     a_lo, a_hi, c_lo, c_hi, n_e, n_ne, z, true_rr = args
-    pc = np.zeros(n_ne + 1)
-    pc[c_lo:c_hi + 1] = np.ldexp(1.0, -np.arange(1, c_hi - c_lo + 2))
-    scenario = (np.ones(n_e + 1), pc, a_lo, a_hi, c_lo, c_hi, n_e, n_ne, true_rr)
-    rows, _ = _backend._row_sums([(scenario, a_lo, a_hi)], z)
+    exposed = _backend.window_arrays(np.ones(a_hi + 1 - a_lo), a_lo, n_e)
+    non_exposed = _backend.window_arrays(np.ldexp(1.0, -np.arange(1, c_hi - c_lo + 2)), c_lo, n_ne)
+    rows, _ = _backend._row_sums([((exposed, non_exposed, n_e, n_ne, true_rr), 0, a_hi + 1 - a_lo)], z)
     digits = np.ldexp(np.array(rows)[:, None], np.arange(1, c_hi - c_lo + 2))
     return np.floor(digits) % 2 == 1
 
@@ -324,9 +323,12 @@ class TestKernel:
             pa, pc = pmf_vector(n_e, p_e), pmf_vector(n_ne, p_ne)
             scenarios.append((pa, pc, 1, n_e - 1, 2, n_ne - 2, n_e, n_ne, rr))
         alone = [_backend.cover_sums(*sc[:8], 2.576, sc[8]) for sc in scenarios]
+        batch = [(_backend.window_arrays(pa[a_lo:a_hi + 1], a_lo, n_e),
+                  _backend.window_arrays(pc[c_lo:c_hi + 1], c_lo, n_ne), n_e, n_ne, rr)
+                 for pa, pc, a_lo, a_hi, c_lo, c_hi, n_e, n_ne, rr in scenarios]
         for rows in (1, 50, 4096):
             with mock.patch.object(_backend, "_BATCH_ROWS", rows):
-                assert list(_backend.batch_cover_sums(scenarios, 2.576)) == alone
+                assert list(_backend.batch_cover_sums(batch, 2.576)) == alone
 
 
 def _bits(result):
@@ -363,10 +365,13 @@ class TestMargins:
         assert runs[0] == runs[1] == runs[2]
         assert any(error for error, _ in runs[0]) and any(bits for _, bits in runs[0])
 
-    def test_margin_pmf_is_read_only(self):
+    def test_margin_arrays_are_read_only(self):
         margin = coverage._margin(20, 0.3, 1e-12)
+        assert margin.arrays.shape == (6, margin.hi + 1 - margin.lo)
         with pytest.raises(ValueError):
-            margin.pmf[3] = 1.0
+            margin.arrays[0, 3] = 1.0
+        with pytest.raises(ValueError):
+            margin.arrays[1][3] = 1.0
 
     def test_grid_builds_each_distinct_margin_once(self, monkeypatch):
         grid = GridSpec((30, 60), (30, 60), (0.2, 0.5), (0.2, 0.5), (0.1, 0.9), (0.1, 0.9))
@@ -374,16 +379,23 @@ class TestMargins:
         for point in grid.points():
             p_e, p_ne, _ = true_conditional_risks(Scenario(*point, grid.stratum, grid.level))
             distinct |= {(point[0], p_e), (point[1], p_ne)}
-        built = []
-        pmf_vector = coverage.pmf_vector
+        built, arrays = [], []
+        pmf_vector, window_arrays = coverage.pmf_vector, _backend.window_arrays
 
         def counting(n, p):
             built.append((n, p))
             return pmf_vector(n, p)
 
+        def counting_arrays(pmf, lo, n):
+            arrays.append(n)
+            return window_arrays(pmf, lo, n)
+
         monkeypatch.setattr(coverage, "pmf_vector", counting)
+        monkeypatch.setattr(_backend, "window_arrays", counting_arrays)
+        monkeypatch.setattr(_backend, "_BATCH_ROWS", 7)  # several pieces per scenario
         run_grid(grid)
         assert sorted(built) == sorted(distinct)
+        assert sorted(arrays) == sorted(n for n, _ in distinct)
         assert len(built) < 2 * grid.size()
 
     def test_threads_growing_the_log_factorial_table_agree(self, monkeypatch):
@@ -471,8 +483,8 @@ def _kernel_work(grid):
     log = io.StringIO()
     with mock.patch.object(_backend, "batch_cover_sums", wraps=_backend.batch_cover_sums) as spy:
         records = run_grid(grid, log=log)
-    work = sum(_backend.work(a_hi - a_lo + 1, c_hi - c_lo + 1)
-               for call in spy.call_args_list for _, _, a_lo, a_hi, c_lo, c_hi, *_ in call.args[0])
+    work = sum(_backend.work(exposed.shape[1], non_exposed.shape[1])
+               for call in spy.call_args_list for exposed, non_exposed, *_ in call.args[0])
     logged = int(re.fullmatch(r"coverage: (\d+) kernel rows and columns in .*\n", log.getvalue()).group(1))
     return records, work, logged
 
@@ -573,10 +585,10 @@ class TestGridWork:
         monkeypatch.setattr(coverage, "_evaluate_batch", lambda batch: batch)
         items = run_grid(paper_grid(), threads=2)
         assert [item[0] for item in items] == list(paper_grid().points())
-        pmfs = {id(m.pmf): m.pmf.nbytes for *_, margins in items if margins for m in margins}
+        arrays = {id(m.arrays): m.arrays.nbytes for item in items if item[4] for m in item[4]}
         assert len(sent) == 2
-        # every distinct pmf at most once per task, plus a small record per point
-        assert sum(map(len, sent)) < 2 * sum(pmfs.values()) + 200 * len(items)
+        # all of every distinct margin's arrays at most once per task, plus a small record per point
+        assert sum(map(len, sent)) < 2 * sum(arrays.values()) + 200 * len(items)
 
     def test_grid_runs_on_the_batch_kernel(self):
         grid = TestGrids().small_grid()
@@ -648,19 +660,38 @@ class TestGridWork:
         monkeypatch.setattr(coverage, "pmf_vector", spy)
         table_size = len(binomial._LFACT._hi)
         grid = GridSpec((10**8, 30), (10**8,), (0.3,), (0.3, 0.6), (0.5,), (0.5,))
-        with pytest.raises(DomainError, match=r"need 200000033 doubles \(distinct margins: 3, "
-                                              r"largest n: 100000000\), over the cap of 8388608"):
+        # the pmf being built, n + 1, and 6 doubles per count of the windows' bounds
+        p_3, p_6 = (coverage._group_risk(1, pi, 0.5, 1, "exposed") for pi in (0.3, 0.6))
+        bounds = [coverage._window_bound(n, p, 1e-12) for n, p in [(10**8, p_3), (30, p_3), (10**8, p_6)]]
+        assert bounds[1] == 29 and 100_000_001 + 6 * sum(bounds) == 104_109_155
+        with pytest.raises(DomainError, match=r"need 104109155 doubles \(distinct margins: 3, "
+                                              r"largest n: 100000000\), over the cap of 8388608; "
+                                              r"a larger --prune \(now 1e-12\) narrows the windows"):
             run_grid(grid)
         assert spy.call_count == 0 and len(binomial._LFACT._hi) == table_size
 
     def test_margin_cap_passes_at_exactly_the_cap(self, monkeypatch):
-        # distinct margins n = 30, 20 (exposed) and 25, 10 (non-exposed), one p
+        # distinct margins n = 30, 20 (exposed) and 25, 10 (non-exposed), one p: windows of
+        # n - 1 counts, 6 doubles each, and the largest pmf being built, 31 doubles
         grid = GridSpec((30, 20), (25, 10), (0.5,), (0.5,), (0.2,), (0.2,))
-        monkeypatch.setattr(coverage, "_MAX_MARGIN_DOUBLES", 31 + 21 + 26 + 11)
+        monkeypatch.setattr(coverage, "_MAX_MARGIN_DOUBLES", 6 * (29 + 19 + 24 + 9) + 31)
         assert all(r.result for r in run_grid(grid))
-        monkeypatch.setattr(coverage, "_MAX_MARGIN_DOUBLES", 31 + 21 + 26 + 11 - 1)
-        with pytest.raises(DomainError, match="need 89 doubles"):
+        monkeypatch.setattr(coverage, "_MAX_MARGIN_DOUBLES", 6 * (29 + 19 + 24 + 9) + 31 - 1)
+        with pytest.raises(DomainError, match="need 517 doubles"):
             run_grid(grid)
+
+    def test_one_wide_unpruned_window_is_refused_before_any_pmf(self, monkeypatch):
+        # n_nonE = 8 x 10^6 at prune 0: its pmf, 8,000,001 doubles, is under the cap, and its
+        # work, 7,999,999 + 2, under 2^31, but the window's arrays take 48 x 10^6 doubles
+        spy = mock.Mock(side_effect=AssertionError("pmf built"))
+        monkeypatch.setattr(coverage, "pmf_vector", spy)
+        table_size = len(binomial._LFACT._hi)
+        grid = GridSpec((3,), (8 * 10**6,), (0.3,), (0.3,), (0.5,), (0.5,), prune_epsilon=0.0)
+        with pytest.raises(DomainError, match=r"need 56000007 doubles \(distinct margins: 2, "
+                                              r"largest n: 8000000\), over the cap of 8388608; "
+                                              r"a larger --prune \(now 0.0\)"):
+            run_grid(grid)
+        assert spy.call_count == 0 and len(binomial._LFACT._hi) == table_size
 
 
 class TestCoverageCsv:
