@@ -8,11 +8,17 @@ outcomes 0, 1 or empty.  read_wide and read_long raise Declined on any
 other input, and on every row fault the csv reader path of ingest
 reports, so that path parses such input from the start and is the only
 one that raises ParseError.  The input is held one block of about
-BLOCK_BYTES at a time, and per row only its id, label code, int32 visit
-and outcome code, each column in one buffer: 6 bytes plus the id.
-read_long then groups the rows by id with one stable argsort of the ids;
-at its peak, while the sort's row order is cast to int32, it holds about
-12 bytes per row more than the columns.
+BLOCK_BYTES at a time, and per row only its columns, each in one buffer:
+read_wide's id, label code and outcome codes; read_long's id, one byte
+of label and outcome codes and its visit, in the narrowest unsigned type
+that holds the largest visit (one byte up to 255).  read_long then
+groups the rows by id with one stable argsort of the ids.  At its peak
+it holds the sort's int64 row order beside the columns, 8 bytes per row,
+and NumPy's merge buffer of up to 4 more; the rest of its work takes
+CHUNK_ROWS rows at a time or 4 bytes per row for the row order, narrowed
+to int32 in place.  On a visit-major file with ids of 7 bytes and 4
+visits, tracemalloc (which does not see the merge buffer) puts the peak
+of ingest.parse_long_dataset at 17.5 bytes per row.
 """
 
 from itertools import chain
@@ -21,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 BLOCK_BYTES = 1 << 16  # bytes read at once
-CHUNK_ROWS = 1 << 16  # sorted ids compared at once
+CHUNK_ROWS = 1 << 16  # rows taken at once after the sort, and by ingest._long_dataset
 NAME_BYTES = 64  # longest id or exposure label decoded
 VISIT_DIGITS = 18  # most digits of a visit decoded, so every visit fits int64
 INT32_MAX = np.iinfo(np.int32).max  # largest visit kept; bound of int32 row and cell numbers
@@ -73,50 +79,76 @@ def read_long(read) -> tuple:
     header, rest = _header(blocks)
     _require(header == b"id,exposure,visit,y")
     labels = {}
-    sid, label, visit, y = _columns(chain([rest], blocks), 4, lambda a, starts, ends: (
+    # code holds 3 x label code + outcome code, one byte for both
+    sid, code, visit = _columns(chain([rest], blocks), 4, lambda a, starts, ends: (
         _names(a, starts[:, 0], ends[:, 0]),
-        _label_codes(a, starts[:, 1], ends[:, 1], labels),
+        _label_codes(a, starts[:, 1], ends[:, 1], labels) * 3 + _outcome_codes(a, starts[:, 3], ends[:, 3]),
         _visit_numbers(a, starts[:, 2], ends[:, 2]),
-        _outcome_codes(a, starts[:, 3], ends[:, 3]),
     ))
+    n_rows = len(visit)
     n_visits = int(visit.max(initial=0))
-    _require(2 <= n_visits <= len(visit) and visit.min() > 0)
+    _require(2 <= n_visits <= n_rows and visit.min() > 0)
     # One stable sort groups the rows by id and keeps each id's rows in
     # file order, so the first row of a group is the id's first-seen row.
-    # Row and subject numbers are int32 where the rows allow.
-    number_type = np.int32 if len(visit) <= INT32_MAX else np.int64
-    order = np.argsort(sid, kind="stable").astype(number_type, copy=False)
+    # Row and subject numbers are int32 where the rows allow; the sort's
+    # int64 row order is narrowed to them in its own buffer, so at the
+    # peak read_long holds the columns, 8 bytes per row and the sort's
+    # merge buffer.
+    number_type = np.int32 if n_rows <= INT32_MAX else np.int64
+    order = _narrowed(np.argsort(sid, kind="stable"), number_type)
     starts = _run_starts(sid, order)
     first = order[starts]  # each group's first row, groups in id order
+    ids, subject_label = sid[first], code[first] // 3
+    del sid
     seen = np.argsort(first)  # groups in first-seen order
-    first.sort()  # first[seen], in place
-    ids, subject_label = sid[first], label[first]
-    del sid, first
+    del first
+    ids, subject_label = ids[seen], subject_label[seen]
     number = np.empty(len(seen), dtype=number_type)
     number[seen] = np.arange(len(seen), dtype=number_type)
     del seen
-    group = np.cumsum(starts, dtype=number_type)
-    del starts
-    group -= 1
-    group = number[group]  # each sorted row's subject number
-    del number
-    subject = np.empty(len(visit), dtype=number_type)
-    subject[order] = group
-    del order, group
-    _require((label == subject_label[subject]).all())
-    del label
+    # Each sorted row's subject number, from its group's, CHUNK_ROWS rows at a time
+    subject = np.empty(n_rows, dtype=number_type)
+    group = -1  # the group of the row before the chunk
+    for i in range(0, n_rows, CHUNK_ROWS):
+        rows = order[i:i + CHUNK_ROWS]
+        chunk = np.cumsum(starts[i:i + CHUNK_ROWS], dtype=number_type)
+        chunk += group
+        group = int(chunk[-1])
+        chunk = number[chunk]
+        _require((code[rows] // 3 == subject_label[chunk]).all())
+        subject[rows] = chunk
+    del order, starts, number
+    code %= 3  # now each row's outcome code
     key = subject.astype(cell_type(len(ids), n_visits))
     key *= n_visits
     key += visit
     key.sort()
     _require(not (key[1:] == key[:-1]).any())
     del key
-    return ids, labels, subject_label, subject, visit, y, n_visits
+    return ids, labels, subject_label, subject, visit, code, n_visits
 
 
 def cell_type(n_subjects: int, n_visits: int):
     """int32, or int64 when the subjects x visits cells do not all have an int32 number."""
     return np.int32 if n_subjects * n_visits <= INT32_MAX else np.int64
+
+
+def _narrowed(order, dtype) -> np.ndarray:
+    """order as dtype, narrowed in its own buffer: copied to its front CHUNK_ROWS at a time, then trimmed.
+
+    A chunk is written below the rows not yet read; NumPy copies the
+    first chunk's source, which overlaps its destination.
+    """
+    if order.dtype == dtype:
+        return order
+    size = len(order)
+    narrow = order.view(dtype)[:size]
+    for i in range(0, size, CHUNK_ROWS):
+        narrow[i:i + CHUNK_ROWS] = order[i:i + CHUNK_ROWS]
+    del narrow  # no view is left to dangle when the buffer is trimmed
+    ratio = order.itemsize // np.dtype(dtype).itemsize
+    order.resize(-(-size // ratio), refcheck=False)
+    return order.view(dtype)[:size]
 
 
 def _run_starts(sid, order) -> np.ndarray:
@@ -135,9 +167,10 @@ def _columns(blocks, width: int, decode) -> list:
     Each column grows in one buffer, by an eighth when full: NumPy
     resizes it with realloc, which can move a large buffer by remapping
     its pages rather than copying them, and zero-fills the new rows, so a
-    small step touches few pages the rows never fill.  An id
-    column is widened when a block has wider ids, at most NAME_BYTES
-    times.  The buffers are trimmed to the rows at the end.
+    small step touches few pages the rows never fill.  A column is
+    widened when a block has wider values: an id column at most
+    NAME_BYTES times, a visit column at most twice.  The buffers are
+    trimmed to the rows at the end.
     """
     columns, size = [], 0
     for block in blocks:
@@ -147,7 +180,7 @@ def _columns(blocks, width: int, decode) -> list:
         end = size + len(parts[0])
         for i, part in enumerate(parts):
             column = columns[i]
-            if part.itemsize > column.itemsize:  # wider ids: copy the rows so far
+            if part.itemsize > column.itemsize:  # wider values: copy the rows so far
                 column = np.empty(column.shape, dtype=part.dtype)
                 column[:size] = columns[i][:size]
             if end > len(column):
@@ -248,7 +281,11 @@ def _outcome_codes(a, starts, ends) -> np.ndarray:
 
 
 def _visit_numbers(a, starts, ends) -> np.ndarray:
-    """Visits of 1 to VISIT_DIGITS ASCII digits, as int32; declines on any other field or one over INT32_MAX."""
+    """Visits of 1 to VISIT_DIGITS ASCII digits; declines on any other field or one over INT32_MAX.
+
+    The visits come in the narrowest unsigned type that holds the
+    largest of them, for _columns to widen the column to.
+    """
     lengths = ends - starts
     _require(lengths.min(initial=1) > 0 and lengths.max(initial=1) <= VISIT_DIGITS)
     visits = np.zeros(len(starts), dtype=np.int64)
@@ -257,5 +294,6 @@ def _visit_numbers(a, starts, ends) -> np.ndarray:
         digit = a[np.minimum(starts + k, ends)] - 48
         _require((digit[more] <= 9).all())
         visits = np.where(more, visits * 10 + digit, visits)
-    _require(visits.max(initial=0) <= INT32_MAX)
-    return visits.astype(np.int32)
+    largest = int(visits.max(initial=0))
+    _require(largest <= INT32_MAX)
+    return visits.astype(np.min_scalar_type(largest))

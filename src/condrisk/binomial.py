@@ -169,11 +169,16 @@ def _log_pmf(hi_n, lo_n, hi_k, lo_k, hi_r, lo_r, k, r, p):
 _BERNSTEIN_EXPONENT = 760.0
 
 
-def support_bounds(n: int, p: float) -> tuple[int, int]:
-    """[floor(np - t), ceil(np + t)] within [0, n]: pmf_vector's nonzero entries other than 0 and n lie in it."""
+def support_bounds(n: int, p: float, exponent: float = _BERNSTEIN_EXPONENT) -> tuple[int, int]:
+    """[floor(np - t), ceil(np + t)] within [0, n], t at T = min(exponent, 760).
+
+    pmf_vector's nonzero entries other than 0 and n lie in it, and each
+    tail beyond it has mass at most exp(-T).
+    """
     _check_probability(p)
-    third = _BERNSTEIN_EXPONENT / 3.0
-    t = third + math.sqrt(third * third + 2.0 * _BERNSTEIN_EXPONENT * n * p * (1.0 - p))
+    exponent = min(exponent, _BERNSTEIN_EXPONENT)
+    third = exponent / 3.0
+    t = third + math.sqrt(third * third + 2.0 * exponent * n * p * (1.0 - p))
     return max(0, math.floor(n * p - t)), min(n, math.ceil(n * p + t))
 
 

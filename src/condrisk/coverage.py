@@ -158,9 +158,24 @@ _MAX_MARGIN_DOUBLES = 2 ** 23
 
 
 def _window_bound(n: int, p: float, prune_epsilon: float) -> int:
-    """A bound on the width of Binomial(n, p)'s window, before any pmf: the counts 0 < k < n, and
-    when pruned only those within support_bounds, since pruning drops every zero of the pmf."""
-    lo, hi = (1, n - 1) if prune_epsilon == 0.0 else support_bounds(n, p)
+    """A bound on the width of Binomial(n, p)'s window, before any pmf: the counts 0 < k < n,
+    and when pruned only those within support_bounds at T = ln(8 / prune_epsilon).
+
+    Pruning drops every zero of the pmf, so the window lies within the
+    span at T = 760 (support_bounds caps T there).  Beyond the span at
+    T = ln(8 / prune_epsilon), each tail's exact mass is at most
+    prune_epsilon / 8.  Its computed mass is within a relative 1e-9 of
+    that (pmf entries to about 1e-11, the cumsum to n ulps), and rounding
+    to subnormals adds under 1e-300 while prune_epsilon is normal.  So
+    it stays under prune_window's budget of prune_epsilon / 4, and the
+    whole tail is pruned.  A subnormal prune_epsilon overflows
+    8 / prune_epsilon to inf, which keeps the span at T = 760; one whose
+    budget rounds to 0 prunes nothing.
+    """
+    if prune_epsilon / 4.0 == 0.0:  # prune_window's budget
+        lo, hi = 1, n - 1
+    else:
+        lo, hi = support_bounds(n, p, math.log(8.0 / prune_epsilon))
     return max(0, min(hi, n - 1) - max(lo, 1) + 1)
 
 

@@ -16,18 +16,21 @@ int8 outcome matrix; Subject records are built only on request.  The
 dataset constructor keeps an id array of ASCII bytes (S dtype) as it is,
 so the byte path's ids are decoded only when they are read.  Parsing
 holds one block of input (on the csv path, one row) and, per row, its id
-and 6 bytes of codes (an int32 visit, label and outcome codes); the csv
-reader keeps a long file's ids as an id table, and the (subject, visit)
-of each row in a set, so that a duplicate visit is found at its row.  A long file whose largest visit
-exceeds its number of observation rows is rejected, since no subject can
-then have every visit, so parse and analysis work stay linear in the
-input size.
+and its codes: on the byte path of a long file one byte of label and
+outcome codes and a visit of one byte up to visit 255 (see _plaincsv for
+the peak); the csv reader keeps a long file's ids as an id table, and
+the (subject, visit) of each row in a set, so that a duplicate visit is
+found at its row.  The dataset of a long file is built from its rows
+CHUNK_ROWS at a time, so that no temporary is as long as the rows.  A
+long file whose largest visit exceeds its number of observation rows is
+rejected, since no subject can then have every visit, so parse and
+analysis work stay linear in the input size.
 
 For each requested visit pair (j, k) the analysis stratifies the time-j
 exposure-by-outcome table on the time-k outcome (one bincount) and
 reports the crude and conditional risk ratios with CIs plus the
 within-group outcome correlations.  Degenerate cells yield "not
-estimable" entries, never a crash.
+estimable" entries, never a crash; report.txt gives each one's reason.
 """
 
 import csv
@@ -238,23 +241,28 @@ def _long_dataset(
     in first-seen order.  No (subject, visit) repeats and every visit is
     in 1..n_visits.
     """
-    # With no duplicate and every visit in 1..T, T rows make a subject complete.
-    n_subjects = len(subject_label)
-    complete = (np.bincount(subject, minlength=n_subjects) == n_visits) & (
-        np.bincount(subject[y == _EMPTY], minlength=n_subjects) == 0
-    )
-    keep = complete[subject]
+    # With no duplicate and every visit in 1..T, T rows with an outcome make a subject complete.
+    # The rows are taken CHUNK_ROWS at a time, so no temporary is as long as the rows.
+    chunks = [slice(i, i + _plaincsv.CHUNK_ROWS) for i in range(0, len(subject), _plaincsv.CHUNK_ROWS)]
+    answered = np.zeros(len(subject_label), dtype=np.intp)
+    for rows in chunks:
+        np.add.at(answered, subject[rows][y[rows] != _EMPTY], 1)
+    complete = answered == n_visits
+    del answered
     n_complete = int(np.count_nonzero(complete))
-    # Each kept row's flat cell row * n_visits + visit - 1, as int32 when every cell number fits
-    cell = np.cumsum(complete, dtype=_plaincsv.cell_type(n_complete, n_visits))
-    cell = cell[subject[keep]]
-    cell -= 1
-    cell *= n_visits
-    cell += visit[keep]
-    cell -= 1
+    # Each kept row's flat cell is row * n_visits + visit - 1: base[subject] + visit,
+    # as int32 when every cell number fits
+    base = np.cumsum(complete, dtype=_plaincsv.cell_type(n_complete, n_visits))
+    base -= 1
+    base *= n_visits
+    base -= 1
     outcomes = np.zeros(n_complete * n_visits, dtype=np.int8)
-    outcomes[cell] = y[keep]
-    del cell, keep
+    for rows in chunks:
+        keep = complete[subject[rows]]
+        cell = base[subject[rows][keep]]
+        cell += visit[rows][keep]
+        outcomes[cell] = y[rows][keep]
+    del base
     return _dataset(ids, labels, subject_label, complete, outcomes.reshape(n_complete, n_visits),
                     exposed_value)
 
@@ -410,7 +418,12 @@ def visit_risks(data: LongitudinalDataset) -> list:
 
 @dataclass(frozen=True)
 class VisitPairAnalysis:
-    """All measures for one visit pair; None/nan marks not-estimable cells."""
+    """All measures for one visit pair; None/nan marks not-estimable cells.
+
+    reasons holds a (measure, message) pair for each measure that is not
+    estimable: measure "rr", "rr1" or "rr0", or "rho" for both
+    correlations, and the message of the error that its estimator raised.
+    """
 
     j: int
     k: int
@@ -420,6 +433,7 @@ class VisitPairAnalysis:
     rr0: RiskRatioEstimate | None
     rho_e: float
     rho_ne: float
+    reasons: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -448,19 +462,22 @@ def analyze_pair(
     s1, s0 = tables.stratum1, tables.stratum0
     crude = StratumTable(a=s1.a + s0.a, b=s1.b + s0.b, c=s1.c + s0.c, d=s1.d + s0.d)
 
-    def attempt(fn, *args):
+    reasons = []
+
+    def attempt(measure, fn, *args):
         try:
             return fn(*args)
-        except DegenerateTableError:
+        except DegenerateTableError as exc:  # UndefinedCorrelationError too
+            reasons.append((measure, str(exc)))
             return None
 
-    rr = attempt(rr_crude, crude, level)
-    rr1 = attempt(rr1_estimate, tables, level)
-    rr0 = attempt(rr0_estimate, tables, level)
-    rhos = attempt(phi_correlations, tables, paper_literal_rho)
+    rr = attempt("rr", rr_crude, crude, level)
+    rr1 = attempt("rr1", rr1_estimate, tables, level)
+    rr0 = attempt("rr0", rr0_estimate, tables, level)
+    rhos = attempt("rho", phi_correlations, tables, paper_literal_rho)
     rho_e, rho_ne = rhos if rhos is not None else (math.nan, math.nan)
     return VisitPairAnalysis(j=j, k=k, tables=tables, rr=rr, rr1=rr1, rr0=rr0,
-                             rho_e=rho_e, rho_ne=rho_ne)
+                             rho_e=rho_e, rho_ne=rho_ne, reasons=tuple(reasons))
 
 
 def analyze(
@@ -530,17 +547,21 @@ def _pct(value: float) -> str:
     return f"{100.0 * value:.1f}"
 
 
-def _est_line(label: str, est, level: float) -> str:
+def _not_estimable(reason) -> str:
+    return "not estimable" if reason is None else f"not estimable ({reason})"
+
+
+def _est_line(label: str, est, level: float, reason=None) -> str:
     pct = f"{100.0 * level:g}%"
     if est is None:
-        return f"  {label}: not estimable"
+        return f"  {label}: {_not_estimable(reason)}"
     return (
         f"  {label}: {est.point:.2f} ({pct} CI {est.ci_lower:.2f}, {est.ci_upper:.2f})"
     )
 
 
-def _rho_text(value: float) -> str:
-    return "not estimable" if math.isnan(value) else f"{value:.2f}"
+def _rho_text(value: float, reason=None) -> str:
+    return _not_estimable(reason) if math.isnan(value) else f"{value:.2f}"
 
 
 def format_report(report: AnalysisReport) -> str:
@@ -564,12 +585,13 @@ def format_report(report: AnalysisReport) -> str:
     for pair in report.pairs:
         lines.append("")
         lines.append(f"Visit pair j={pair.j}, k={pair.k} (outcome at {pair.j}, conditioning on {pair.k})")
-        lines.append(_est_line("crude risk ratio          ", pair.rr, report.level))
-        lines.append(_est_line("risk ratio | earlier = yes", pair.rr1, report.level))
-        lines.append(_est_line("risk ratio | earlier = no ", pair.rr0, report.level))
+        why = dict(pair.reasons)
+        lines.append(_est_line("crude risk ratio          ", pair.rr, report.level, why.get("rr")))
+        lines.append(_est_line("risk ratio | earlier = yes", pair.rr1, report.level, why.get("rr1")))
+        lines.append(_est_line("risk ratio | earlier = no ", pair.rr0, report.level, why.get("rr0")))
         lines.append(
-            f"  correlation (exposed): {_rho_text(pair.rho_e)}, "
-            f"correlation (non-exposed): {_rho_text(pair.rho_ne)}"
+            f"  correlation (exposed): {_rho_text(pair.rho_e, why.get('rho'))}, "
+            f"correlation (non-exposed): {_rho_text(pair.rho_ne, why.get('rho'))}"
         )
     lines.append("")
     return "\n".join(lines)

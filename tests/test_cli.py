@@ -125,6 +125,20 @@ class TestParsing:
         assert out.returncode == 0
         assert out.stdout.strip() == f"condrisk {__version__}"
 
+    def test_python_m_condrisk_runs_the_cli_without_numpy(self):
+        # a source checkout runs `python -m condrisk` with no install; -X importtime
+        # names every module the run imports on stderr
+        repo = Path(__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "condrisk", "--version"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(repo / "src")),
+        )
+        assert out.returncode == 0
+        assert out.stdout == f"condrisk {__version__}\n"
+        imported = {line.rpartition("|")[2].strip() for line in out.stderr.splitlines()}
+        assert "condrisk.cli" in imported and "numpy" not in imported
 
 
 def _python(code, **env):

@@ -373,6 +373,22 @@ class TestMargins:
         with pytest.raises(ValueError):
             margin.arrays[1][3] = 1.0
 
+    def test_window_bound_holds_for_built_margins(self):
+        # 516 seeded margins: n up to 10^5, p over four decades, prune epsilon in [1e-15, 1e-6)
+        rng = np.random.default_rng(27)
+        for _ in range(516):
+            n, p = int(10 ** rng.uniform(0, 5)), float(10 ** rng.uniform(-4, 0))
+            eps = float(10 ** rng.uniform(-15, -6))
+            margin = coverage._margin(n, p, eps)
+            assert max(0, margin.hi - margin.lo + 1) <= coverage._window_bound(n, p, eps), (n, p, eps)
+        # the tail bound at the prune epsilon: 2,506 counts at T = 760 alone, a window of 456
+        margin = coverage._margin(10**5, 0.01, 1e-12)
+        assert (coverage._window_bound(10**5, 0.01, 1e-12), margin.hi - margin.lo + 1) == (507, 456)
+        # nothing is pruned at epsilon 0, nor where epsilon / 4 rounds to 0
+        for eps in (0.0, 1e-323):
+            margin = coverage._margin(10**5, 0.01, eps)
+            assert coverage._window_bound(10**5, 0.01, eps) == margin.hi - margin.lo + 1 == 99_999
+
     def test_grid_builds_each_distinct_margin_once(self, monkeypatch):
         grid = GridSpec((30, 60), (30, 60), (0.2, 0.5), (0.2, 0.5), (0.1, 0.9), (0.1, 0.9))
         distinct = set()
@@ -663,8 +679,8 @@ class TestGridWork:
         # the pmf being built, n + 1, and 6 doubles per count of the windows' bounds
         p_3, p_6 = (coverage._group_risk(1, pi, 0.5, 1, "exposed") for pi in (0.3, 0.6))
         bounds = [coverage._window_bound(n, p, 1e-12) for n, p in [(10**8, p_3), (30, p_3), (10**8, p_6)]]
-        assert bounds[1] == 29 and 100_000_001 + 6 * sum(bounds) == 104_109_155
-        with pytest.raises(DomainError, match=r"need 104109155 doubles \(distinct margins: 3, "
+        assert bounds[1] == 29 and 100_000_001 + 6 * sum(bounds) == 100_811_651
+        with pytest.raises(DomainError, match=r"need 100811651 doubles \(distinct margins: 3, "
                                               r"largest n: 100000000\), over the cap of 8388608; "
                                               r"a larger --prune \(now 1e-12\) narrows the windows"):
             run_grid(grid)
