@@ -8,6 +8,9 @@ command overwrites byte-identical outputs.
 """
 
 import argparse
+import atexit
+import gc
+import importlib
 import os
 import sys
 
@@ -20,11 +23,12 @@ from ._version import __version__
 from ._run import MARGIN_MODELS
 from .errors import DegenerateTableError, DomainError, ParseError
 
-# Each command imports its own modules in its handler, so a process loads
-# only what it runs: `--version` and `compare` load no NumPy, and no
-# command loads another's modules.  MARGIN_MODELS comes from _run, which
-# imports nothing heavy; compare's default axes stay in
-# compare.compare_grid, which gets only the axes given.
+# Each subparser names the one module its command runs (set_defaults
+# module=...), and main imports only that module, so a process loads only
+# what it runs: `--version` and `compare` load no NumPy, and no command
+# loads another's modules.  MARGIN_MODELS comes from _run, which imports
+# nothing heavy; compare's default axes stay in compare.compare_grid,
+# which gets only the axes given.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paper-literal-rho", action="store_true",
                    help="use the published (uncorrected) non-exposed correlation denominator")
     p.add_argument("--out", required=True, help="output directory for report files")
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_analyze, module="ingest")
 
     p = sub.add_parser("coverage", help="exact CI coverage over a scenario grid")
     src = p.add_mutually_exclusive_group(required=True)
@@ -109,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes: at most N, 1 + (kernel rows and columns)/1.6e6, "
                         "the CPUs and the batches of points (output independent of this)")
     p.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
-    p.set_defaults(func=_cmd_coverage)
+    p.set_defaults(func=_cmd_coverage, module="coverage")
 
     p = sub.add_parser("compare", help="population crude-vs-conditional ratio sweep")
     p.add_argument("--pi-e", type=float, nargs="+",
@@ -121,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-ne", type=float, nargs="+",
                    help="non-exposed within-subject correlations")
     p.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
-    p.set_defaults(func=_cmd_compare)
+    p.set_defaults(func=_cmd_compare, module="compare")
 
     p = sub.add_parser("oracle", help="Monte-Carlo coverage estimate for one scenario")
     p.add_argument("--n-e", type=_positive_int, required=True, help="exposed margin")
@@ -139,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes: at most N, 1 + (binomial draws)/2^21, the CPUs "
                         "and the blocks of 2^14 replications (output independent of this)")
     p.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
-    p.set_defaults(func=_cmd_oracle)
+    p.set_defaults(func=_cmd_oracle, module="mc")
 
     return parser
 
@@ -153,9 +157,7 @@ def _write_rows(writer, records, out: str, suffix: str = "") -> None:
         sys.stdout.write(f"wrote {len(records)} rows to {out}{note}{suffix}\n")
 
 
-def _cmd_analyze(args) -> int:
-    from . import ingest
-
+def _cmd_analyze(args, ingest) -> int:
     parse = ingest.parse_long_dataset if args.long else ingest.parse_dataset
     dataset = parse(args.input, args.exposed_value)
     report = ingest.analyze(
@@ -170,10 +172,8 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _cmd_coverage(args) -> int:
+def _cmd_coverage(args, coverage_mod) -> int:
     from dataclasses import replace
-
-    from . import coverage as coverage_mod
 
     if args.paper_grid:
         grid = coverage_mod.paper_grid()
@@ -186,9 +186,7 @@ def _cmd_coverage(args) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
-    from . import compare as compare_mod
-
+def _cmd_compare(args, compare_mod) -> int:
     given = {"pi_e_axis": args.pi_e, "pi_ne_axis": args.pi_ne,
              "rho_e_axis": args.rho_e, "rho_ne_axis": args.rho_ne}
     records = compare_mod.compare_grid(
@@ -198,9 +196,7 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    from . import mc
-
+def _cmd_oracle(args, mc) -> int:
     record = mc.oracle_record(
         n_e=args.n_e, n_ne=args.n_ne,
         pi_e=args.pi_e, pi_ne=args.pi_ne,
@@ -219,10 +215,34 @@ def _cmd_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the command argv names (default sys.argv[1:]) and return its exit code.
+
+    Called as the process's entry point (argv None), main also sets the
+    process's garbage-collection policy; a caller that passes argv keeps
+    its own.
+    """
+    # A command's process imports some 3 * 10^4 GC-tracked objects (NumPy
+    # most of them) that live until it exits and are never garbage, yet the
+    # cyclic GC scans them: about 35 young collections during the imports
+    # and a full pass at exit, 8-15 ms of a 50-250 ms command.  So the
+    # entry point imports the command's module with GC off, then freezes
+    # all that is loaded (gc.freeze: kept where no collection looks) and
+    # turns GC back on, so that cycles the command's own work makes are
+    # still collected.  The exit handler freezes the rest, sparing the pass
+    # at exit; it is registered before parsing, so that --version and usage
+    # errors exit that way too.
+    entry = argv is None
+    if entry:
+        atexit.register(gc.freeze)
+    args = build_parser().parse_args(argv)
+    if entry:
+        gc.disable()
+    module = importlib.import_module(f".{args.module}", __package__)
+    if entry:
+        gc.freeze()
+        gc.enable()
     try:
-        return args.func(args)
+        return args.func(args, module)
     except (ParseError, DegenerateTableError) as exc:
         sys.stderr.write(f"condrisk: data error: {exc}\n")
         return EXIT_DATA

@@ -86,7 +86,9 @@ class LongitudinalDataset:
     dtype), as the byte path reads them, and decodes it on the first read
     of ids or subjects, which the analysis never does; any other iterable
     of ids becomes a tuple.  It checks that outcomes hold only 0 and 1
-    before it stores them as int8.
+    before it stores a read-only int8 copy of them.  The parsers pass
+    _owned=True with the int8 matrix they built for the dataset alone,
+    which is then stored without a copy.
     """
 
     _ids: object = field(repr=False)  # a tuple, or an array of ASCII bytes
@@ -98,7 +100,7 @@ class LongitudinalDataset:
     unexposed_label: str
 
     def __init__(self, ids, exposed, outcomes, n_visits: int, dropped_incomplete: int,
-                 exposed_label: str, unexposed_label: str):
+                 exposed_label: str, unexposed_label: str, *, _owned: bool = False):
         if not (isinstance(ids, np.ndarray) and ids.dtype.kind == "S"):
             ids = tuple(ids)
         exposed = np.array(exposed, dtype=bool)
@@ -108,9 +110,14 @@ class LongitudinalDataset:
                 f"{len(ids)} ids need exposed of shape ({len(ids)},) and outcomes of shape "
                 f"({len(ids)}, {n_visits}), got {exposed.shape} and {outcomes.shape}"
             )
-        if not ((outcomes == 0) | (outcomes == 1)).all():
+        if outcomes.dtype == np.int8:
+            # one pass and no temporary: read as uint8, a negative value is 128 or more
+            valid = outcomes.view(np.uint8).max(initial=0) <= 1
+        else:
+            valid = ((outcomes == 0) | (outcomes == 1)).all()
+        if not valid:
             raise ValueError("outcomes must be 0 or 1")
-        outcomes = outcomes.astype(np.int8)  # checked first, so no value wraps into 0 or 1
+        outcomes = outcomes.astype(np.int8, copy=not _owned)  # checked first, so no value wraps
         exposed.setflags(write=False)
         outcomes.setflags(write=False)
         for name, value in (("_ids", ids), ("exposed", exposed), ("outcomes", outcomes),
@@ -273,7 +280,8 @@ def _dataset(ids, labels: dict, label: np.ndarray, complete: np.ndarray, outcome
 
     ids is an array of ASCII bytes or an iterable of str; labels maps
     each exposure label to its code, in first-seen order; outcomes holds
-    the complete subjects' outcomes.
+    the complete subjects' outcomes, an int8 0/1 matrix built for this
+    dataset alone, which it keeps without a copy.
     """
     if len(label) > 0 and exposed_value not in labels:
         found = ", ".join(repr(v) for v in labels) or "none"
@@ -289,6 +297,7 @@ def _dataset(ids, labels: dict, label: np.ndarray, complete: np.ndarray, outcome
         dropped_incomplete=len(label) - len(outcomes),
         exposed_label=exposed_value,
         unexposed_label=others[0] if others else "",
+        _owned=True,
     )
 
 

@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # NumPy loads it on first use; here it loads before the CLI freezes its imports
 
 from ._run import MARGIN_MODELS, map_jobs, worker_count, write_table
 from .errors import DomainError

@@ -18,6 +18,8 @@ from condrisk.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from condrisk.compare import COMPARE_CSV_HEADER
 from condrisk.coverage import COVERAGE_CSV_HEADER
 
+REPO = Path(__file__).resolve().parents[1]
+
 DATASET_TEXT = textwrap.dedent(
     """\
     id,exposure,y1,y2,y3
@@ -52,6 +54,18 @@ GRID_TEXT = textwrap.dedent(
 def dataset(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text(DATASET_TEXT)
+    return path
+
+
+@pytest.fixture
+def long_dataset(tmp_path):
+    """DATASET_TEXT in long format."""
+    rows = ["id,exposure,visit,y"]
+    for line in DATASET_TEXT.splitlines()[1:]:
+        sid, arm, *ys = line.split(",")
+        rows.extend(f"{sid},{arm},{v},{y}" for v, y in enumerate(ys, start=1))
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(rows) + "\n")
     return path
 
 
@@ -98,29 +112,14 @@ class TestParsing:
     def test_console_script_matches_module(self, tmp_path):
         # run the launcher pip would generate for the declared console
         # script, against the source tree instead of an install
-        if sys.version_info >= (3, 11):
-            import tomllib
-        else:
-            tomllib = pytest.importorskip("tomli")
-        repo = Path(__file__).resolve().parents[1]
-        with open(repo / "pyproject.toml", "rb") as fh:
-            scripts = tomllib.load(fh)["project"]["scripts"]
-        entry = EntryPoint(
-            name="condrisk", value=scripts["condrisk"], group="console_scripts"
-        )
-        launcher = tmp_path / entry.name
-        launcher.write_text(
-            f"#!{sys.executable}\n"
-            "import sys\n"
-            f"from {entry.module} import {entry.attr}\n"
-            f"sys.exit({entry.attr}())\n"
-        )
+        launcher = tmp_path / "condrisk"
+        launcher.write_text(f"#!{sys.executable}\n{_console_script()}")
         launcher.chmod(0o755)
         out = subprocess.run(
             [str(launcher), "--version"],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=str(repo / "src")),
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
         )
         assert out.returncode == 0
         assert out.stdout.strip() == f"condrisk {__version__}"
@@ -128,12 +127,11 @@ class TestParsing:
     def test_python_m_condrisk_runs_the_cli_without_numpy(self):
         # a source checkout runs `python -m condrisk` with no install; -X importtime
         # names every module the run imports on stderr
-        repo = Path(__file__).resolve().parents[1]
         out = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "condrisk", "--version"],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=str(repo / "src")),
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
         )
         assert out.returncode == 0
         assert out.stdout == f"condrisk {__version__}\n"
@@ -141,10 +139,22 @@ class TestParsing:
         assert "condrisk.cli" in imported and "numpy" not in imported
 
 
+def _console_script() -> str:
+    """Python source of the launcher pip generates for pyproject.toml's `condrisk` script."""
+    if sys.version_info >= (3, 11):
+        import tomllib
+    else:
+        tomllib = pytest.importorskip("tomli")
+    with open(REPO / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    entry = EntryPoint(name="condrisk", value=scripts["condrisk"], group="console_scripts")
+    return f"import sys\nfrom {entry.module} import {entry.attr}\nsys.exit({entry.attr}())\n"
+
+
 def _python(code, **env):
     """Run code in a fresh interpreter on the source tree, without OPENBLAS_NUM_THREADS unless given."""
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    base["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    base["PYTHONPATH"] = str(REPO / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**base, **env})
     assert out.returncode == 0, out.stderr
     return out.stdout.split()
@@ -182,39 +192,174 @@ class TestLazyPackage:
         assert _python(code, **env) == ["True", want]
 
 
-class TestImportSet:
-    """A command loads only the modules it runs (fresh interpreter)."""
+def _command_argv(command, dataset, grid_file, tmp_path) -> list:
+    """A short run of each command, --version, and an analyze that ends in a data error."""
+    return {
+        "version": ["--version"],
+        "coverage": ["coverage", "--grid", str(grid_file), "--threads", "1",
+                     "--out", str(tmp_path / "cov.csv")],
+        "analyze": ["analyze", "--input", str(dataset), "--exposed-value", "150",
+                    "--out", str(tmp_path / "report")],
+        "compare": ["compare", "--out", str(tmp_path / "cmp.csv")],
+        "oracle": ["oracle", "--n-e", "9", "--n-ne", "9", "--pi-e", "0.3", "--pi-ne", "0.3",
+                   "--rho-e", "0.1", "--rho-ne", "0.1", "--reps", "10", "--threads", "1",
+                   "--out", str(tmp_path / "oracle.csv")],
+        "data error": ["analyze", "--input", str(tmp_path / "missing.csv"), "--exposed-value", "150",
+                       "--out", str(tmp_path / "report")],
+    }[command]
 
-    @pytest.mark.parametrize("command", ["version", "coverage", "analyze", "compare", "oracle"])
-    def test_command_loads_only_its_modules(self, command, dataset, grid_file, tmp_path):
-        argv, loaded, absent = {  # argv, modules it loads, modules it must not load
-            "version": (["--version"], (), ("numpy",)),
-            "coverage": (["coverage", "--grid", str(grid_file), "--threads", "1",
-                          "--out", str(tmp_path / "cov.csv")],
-                         ("condrisk.coverage",),
-                         ("condrisk.ingest", "condrisk.mc", "concurrent.futures")),
-            "analyze": (["analyze", "--input", str(dataset), "--exposed-value", "150",
-                         "--out", str(tmp_path / "report")],
-                        ("condrisk.ingest",), ("condrisk.coverage", "condrisk.mc")),
-            "compare": (["compare", "--out", str(tmp_path / "cmp.csv")],
-                        ("condrisk.compare",), ("numpy",)),
-            "oracle": (["oracle", "--n-e", "9", "--n-ne", "9", "--pi-e", "0.3", "--pi-ne", "0.3",
-                        "--rho-e", "0.1", "--rho-ne", "0.1", "--reps", "10", "--threads", "1",
-                        "--out", str(tmp_path / "oracle.csv")],
-                       ("condrisk.mc",),
-                       ("condrisk.coverage", "condrisk.ingest", "concurrent.futures")),
-        }[command]
+
+def _entry(argv, launch="console script", path=()):
+    """Run condrisk argv as a fresh process started as launch, on the source tree after path."""
+    head = ["-c", _console_script()] if launch == "console script" else ["-m", "condrisk"]
+    pythonpath = os.pathsep.join([*map(str, path), str(REPO / "src")])
+    return subprocess.run([sys.executable, *head, *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath))
+
+
+class TestImportSet:
+    """A command loads only the modules it runs (fresh interpreter), called in process or as
+    the process's entry point (main with no argv)."""
+
+    MODULES = {  # command: modules it loads, modules it must not load
+        "version": ((), ("numpy",)),
+        "coverage": (("condrisk.coverage",),
+                     ("condrisk.ingest", "condrisk.mc", "concurrent.futures")),
+        "analyze": (("condrisk.ingest",), ("condrisk.coverage", "condrisk.mc")),
+        "compare": (("condrisk.compare",), ("numpy",)),
+        "oracle": (("condrisk.mc",),
+                   ("condrisk.coverage", "condrisk.ingest", "concurrent.futures")),
+    }
+
+    def check(self, command, argv, entry):
+        """main(argv), or main() with argv in sys.argv when entry, loads the command's modules only."""
+        loaded, absent = self.MODULES[command]
         code = (
             "import contextlib, io, sys\n"
             "from condrisk.cli import main\n"
+            + (f"sys.argv[1:] = {argv!r}\nargs = ()\n" if entry else f"args = ({argv!r},)\n") +
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    try:\n"
-            f"        status = main({argv!r})\n"
+            "        status = main(*args)\n"
             "    except SystemExit as exc:\n"
             "        status = exc.code\n"
             f"print(status, *(name in sys.modules for name in {loaded + absent!r}))\n"
         )
         assert _python(code) == ["0"] + ["True"] * len(loaded) + ["False"] * len(absent)
+
+    @pytest.mark.parametrize("command", list(MODULES))
+    def test_command_loads_only_its_modules(self, command, dataset, grid_file, tmp_path):
+        self.check(command, _command_argv(command, dataset, grid_file, tmp_path), entry=False)
+
+    @pytest.mark.parametrize("command", list(MODULES))
+    def test_process_entry_loads_only_its_modules(self, command, dataset, grid_file, tmp_path):
+        self.check(command, _command_argv(command, dataset, grid_file, tmp_path), entry=True)
+
+    def test_mc_loads_numpy_random_on_import(self):
+        # NumPy loads numpy.random on first use; mc loads it with itself, so that
+        # the CLI's freeze after the command's import covers it
+        assert _python("import sys, condrisk.mc\nprint('numpy.random' in sys.modules)\n") == ["True"]
+
+
+class TestGcPolicy:
+    """As the process's entry point, main imports the command's module with the cyclic GC off,
+    then freezes what is loaded and turns GC back on; at exit it freezes the rest.  A caller
+    that passes argv keeps its GC state."""
+
+    @pytest.mark.parametrize("command", ["version", "coverage", "analyze", "compare", "oracle",
+                                         "data error"])
+    def test_in_process_call_keeps_the_gc_state(self, command, dataset, grid_file, tmp_path):
+        argv = _command_argv(command, dataset, grid_file, tmp_path)
+        code = (
+            "import contextlib, gc, io, sys\n"
+            "from condrisk.cli import main\n"
+            "def run():\n"
+            "    state = gc.isenabled(), gc.get_freeze_count()\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            f"            status = main({argv!r})\n"
+            "        except SystemExit as exc:\n"
+            "            status = exc.code\n"
+            "    return status, (gc.isenabled(), gc.get_freeze_count()) == state\n"
+            "first = run()\n"
+            "gc.disable()\n"
+            "print(*first, *run())\n"
+        )
+        status = str(EXIT_DATA if command == "data error" else EXIT_OK)
+        assert _python(code) == [status, "True", status, "True"]
+
+    def test_process_entry_imports_with_gc_off_then_runs_with_gc_on(self):
+        # an import hook records whether GC is on when the command's module first imports NumPy
+        code = (
+            "import contextlib, gc, io, sys\n"
+            "seen = []\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy':\n"
+            "            seen.append(gc.isenabled())\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "from condrisk.cli import main\n"
+            "sys.argv[1:] = ['oracle', '--n-e', '9', '--n-ne', '9', '--pi-e', '0.3', '--pi-ne', '0.3',\n"
+            "                '--rho-e', '0.1', '--rho-ne', '0.1', '--reps', '1', '--out', '-']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = main()\n"
+            "print(status, *seen, gc.isenabled(), gc.get_freeze_count() > 0)\n"
+        )
+        assert _python(code) == ["0", "False", "True", "True"]
+
+    @pytest.mark.parametrize("launch", ["console script", "python -m"])
+    @pytest.mark.parametrize("argv", [["--version"], ["compare", "--out", "-"]],
+                             ids=["version", "compare"])
+    def test_process_entry_exits_frozen(self, launch, argv, tmp_path):
+        # sitecustomize runs before the command, so its exit handler runs after the CLI's
+        (tmp_path / "sitecustomize.py").write_text(
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}\\n'))\n"
+        )
+        out = _entry(argv, launch, path=[tmp_path])
+        assert out.returncode == 0, out.stderr
+        frozen = re.fullmatch(rb"frozen (\d+)\n", out.stderr.splitlines(keepends=True)[-1])
+        assert frozen and int(frozen[1]) > 0
+
+    @pytest.mark.parametrize("command", ["coverage", "oracle", "analyze --long"])
+    def test_process_entry_writes_the_in_process_bytes(self, command, grid_file, long_dataset,
+                                                       tmp_path, capsys):
+        report = tmp_path / "report"
+        argv = {
+            "coverage": ["coverage", "--grid", str(grid_file), "--out", "-"],
+            "oracle": TestOracle.BASE + ["--margin-model", "cohort", "--out", "-"],
+            "analyze --long": ["analyze", "--input", str(long_dataset), "--long",
+                               "--exposed-value", "150", "--out", str(report)],
+        }[command]
+
+        def files():
+            return [path.read_bytes() for path in sorted(report.glob("*"))]
+
+        assert main(argv) == EXIT_OK
+        want = [capsys.readouterr().out.encode(), *files()]
+        out = _entry(argv)
+        assert out.returncode == 0, out.stderr
+        assert [out.stdout, *files()] == want
+        assert len(want) == (4 if command == "analyze --long" else 1)
+
+    def test_two_workers_under_the_process_entry_write_the_one_worker_csv(self, tmp_path):
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        argv = ["coverage", "--paper-grid", "--stratum", "1"]
+        assert main(argv + ["--threads", "1", "--out", str(one)]) == EXIT_OK
+        code = (
+            "import sys\n"
+            "from condrisk import _run, coverage\n"
+            "coverage._WORK_PER_WORKER = 1\n"
+            "_run.usable_cpus = lambda: 2\n"
+            "from condrisk.cli import main\n"
+            f"sys.argv[1:] = {argv + ['--threads', '2', '--out', str(two)]!r}\n"
+            "sys.exit(main())\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+        assert out.returncode == 0, out.stderr
+        assert out.stderr.endswith(" points, 2 workers\n")
+        assert two.read_bytes() == one.read_bytes()
 
 
 class TestAnalyze:
@@ -243,18 +388,12 @@ class TestAnalyze:
         assert len(measures) == 2 + 3
         assert measures[2].startswith("3,1,rr,")
 
-    def test_long_format_matches_wide(self, dataset, tmp_path):
+    def test_long_format_matches_wide(self, dataset, long_dataset, tmp_path):
         wide_out = tmp_path / "wide"
         assert self.run(dataset, wide_out) == EXIT_OK
-        rows = ["id,exposure,visit,y"]
-        for line in DATASET_TEXT.splitlines()[1:]:
-            sid, arm, *ys = line.split(",")
-            rows.extend(f"{sid},{arm},{v},{y}" for v, y in enumerate(ys, start=1))
-        long_path = tmp_path / "long.csv"
-        long_path.write_text("\n".join(rows) + "\n")
         long_out = tmp_path / "long"
         assert main([
-            "analyze", "--input", str(long_path), "--exposed-value", "150",
+            "analyze", "--input", str(long_dataset), "--exposed-value", "150",
             "--long", "--out", str(long_out),
         ]) == EXIT_OK
         for name in ("risks.csv", "measures.csv", "report.txt"):

@@ -721,8 +721,13 @@ class TestColumnarAnalysis:
         )
         assert ds.ids == ("s1", "s2") and ds.n_unexposed == 1
 
-    @pytest.mark.parametrize("outcomes", [np.array([[256, 257]]), np.array([[0.5, 1.9]]), [[256, 257]]],
-                             ids=["int array past int8", "float array", "list past int8"])
+    @pytest.mark.parametrize("outcomes", [np.array([[256, 257]]), np.array([[0.5, 1.9]]), [[256, 257]],
+                                          np.array([[0, -1]], dtype=np.int8),
+                                          np.array([[1, -128]], dtype=np.int8),
+                                          np.array([[0, 1, 2]], dtype=np.int8)[:, 1:],
+                                          np.array([[1, 0, 2, 9]], dtype=np.int8)[:, ::2]],
+                             ids=["int array past int8", "float array", "list past int8",
+                                  "int8 -1", "int8 -128", "int8 view 2", "int8 strided 2"])
     def test_constructor_checks_outcomes_before_casting_them(self, outcomes):
         with pytest.raises(ValueError, match="^outcomes must be 0 or 1$"):
             LongitudinalDataset(
@@ -740,6 +745,21 @@ class TestColumnarAnalysis:
         )
         assert ds.outcomes.dtype == np.int8 and ds.outcomes.tolist() == [[0, 1]]
         assert not np.shares_memory(ds.outcomes, outcomes)
+        assert outcomes.flags.writeable
+
+    def test_parse_keeps_the_outcome_matrix_it_built(self):
+        built = np.array([[0, 1], [1, 1], [1, 0]], dtype=np.int8)
+        ds = ingest._dataset(np.array([b"a", b"b", b"c"]), {"E": 0, "N": 1},
+                             np.array([0, 1, 0], dtype=np.int8), np.ones(3, dtype=bool), built, "E")
+        assert np.shares_memory(ds.outcomes, built) and not built.flags.writeable
+        assert ds.outcomes.tolist() == [[0, 1], [1, 1], [1, 0]] and ds.n_exposed == 2
+
+    def test_constructor_takes_no_subjects(self):
+        ds = LongitudinalDataset(
+            ids=(), exposed=[], outcomes=np.zeros((0, 3), dtype=np.int8),
+            n_visits=3, dropped_incomplete=2, exposed_label="E", unexposed_label="N",
+        )
+        assert ds.outcomes.shape == (0, 3) and ds.n_exposed == 0
 
 
 class TestBuildTables:
